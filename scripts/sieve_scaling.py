@@ -1,7 +1,7 @@
 """How the variational lower bound grows with polynomial degree.
 
 Prints M_k lower bounds for an increasing basis degree at fixed k, with the
-cluster size m they certify at a few distribution levels.  Useful both for
+cluster size m they imply at a few distribution levels.  Useful both for
 picking a degree budget and for watching the diminishing returns set in.
 
     python3 scripts/sieve_scaling.py --k 105 --max-degree 8

@@ -47,7 +47,6 @@ from .gaussian_split import (
     theta_of,
 )
 from .maynard_sieve import (
-    ConvergenceError,
     SieveBasis,
     VariationalResult,
     build_forms,
@@ -78,7 +77,6 @@ __all__ = [
     "BVRow",
     "BVTable",
     "CacheFormatError",
-    "ConvergenceError",
     "CurveSpec",
     "Measure",
     "PrimeRange",

@@ -1,11 +1,12 @@
 """Command-line front door: one subcommand per experiment.
 
 All parameters are flags with documented defaults (no configuration file), so
-published command lines reproduce exactly.  Numeric count flags accept
-scientific notation (`--x 1e6`).  Output is text, CSV, or JSON; JSON objects
-are emitted with sorted keys and runs are deterministic given identical
-flags, regardless of the `--threads` cap (the current implementation is
-sequential; the flag caps hypothetical workers and never changes results).
+published command lines reproduce exactly.  Integer flags are parsed exactly
+and accept scientific notation with an integral value (`--x 1e6`, not `2.9`).
+Output is text, CSV, or JSON; JSON objects are emitted with sorted keys and
+runs are deterministic given identical flags, regardless of the `--threads`
+cap (the current implementation is sequential; the flag caps hypothetical
+workers and never changes results).
 
 Exit codes: 0 success, 1 computation error (diagnostic on stderr), 2 usage.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .equidist_stats import (
     bv_rows_csv,
     bv_table,
     curve_set,
+    curve_traces,
     empirical_dist,
     erdos_turan_bound,
     ks_distance,
@@ -39,18 +42,34 @@ from .equidist_stats import (
 from .gap_search import record_gaps, scan_tuple
 from .gaussian_split import SplitTable, canonical_split, theta_of
 from .maynard_sieve import dhl_m, optimize_Mk
-from .prime_engine import prime_count, primes_in
+from .prime_engine import primes_in
 from .tuples import make_tuple, narrow_tuple
 
 DEFAULT_THETAS = (1.0 / 18.0, 0.25, 0.5, 0.9)
 
+# Longest integer a flag accepts, in digits.  Every exact computation in the
+# package stays below 2^64 (20 digits).
+MAX_DIGITS = 30
+
 
 def _num(s: str) -> int:
-    """Integer flag accepting scientific notation."""
+    """Integer flag: plain digits, or scientific notation with an integral value.
+
+    Parsed exactly (never through float), so 18446744073709551557 stays itself.
+    Non-finite, fractional and over-long values are usage errors.
+    """
     try:
-        return int(float(s))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from e
+        d = Decimal(s)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from None
+    if not d.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {s!r}")
+    # checked before int(d), so `1e100000000` never builds a huge int
+    if d.adjusted() >= MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_DIGITS} digits: {s!r}")
+    if d != d.to_integral_value():
+        raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
+    return int(d)
 
 
 def _int_list(s: str) -> list[int]:
@@ -183,8 +202,9 @@ def _make_set(args) -> SetSpec:
 
 
 def _cmd_primes(args) -> None:
+    ps = primes_in(args.lo, args.hi)
     if args.count_only:
-        n = prime_count(args.hi - 1) - (prime_count(args.lo - 1) if args.lo > 2 else 0)
+        n = int(ps.size)
         payload = {"lo": args.lo, "hi": args.hi, "count": n}
         if args.format == "json":
             _emit(args, _json(payload))
@@ -193,7 +213,6 @@ def _cmd_primes(args) -> None:
         else:
             _emit(args, f"count {n}\n")
         return
-    ps = primes_in(args.lo, args.hi)
     if args.format == "json":
         _emit(args, _json({"lo": args.lo, "hi": args.hi, "count": int(ps.size),
                            "primes": [int(p) for p in ps]}))
@@ -297,12 +316,9 @@ def _cmd_equidist(args) -> None:
     else:
         if args.curve is None:
             raise ValueError("--set curve needs --curve")
-        spec = curve_set(args.curve, (-1.0, 1.0))
-        from .diagonal_curve import trace
-        ps = spec.members(2, args.x + 1)
-        vals = np.array([trace(args.curve, int(q)).normalized for q in ps])
-        ratios = vals
-        angles = vals % 1.0
+        _, vals = curve_traces(args.curve, 2, args.x + 1)
+        ratios = vals[(vals >= -1.0) & (vals <= 1.0)]
+        angles = ratios % 1.0
     if args.stat == "ks":
         d = ks_distance(empirical_dist(ratios), measure)
         payload = {"n": int(ratios.size), "ks": d, "measure_kind": measure.kind}

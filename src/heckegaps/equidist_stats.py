@@ -155,6 +155,16 @@ def peps_set(eps: float, table: Optional[SplitTable] = None) -> SetSpec:
     )
 
 
+def curve_traces(curve: CurveSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Primes p in [lo, hi) with p = 1 mod M and p not dividing abc, and the
+    normalized trace of each, every prime traced exactly once."""
+    ps = primes_in(max(lo, 2), hi)
+    abc = curve.a * curve.b * curve.c
+    ps = [int(p) for p in ps[ps % curve.M == 1] if abc % int(p) != 0]
+    vals = [trace(curve, p).normalized for p in ps]
+    return np.array(ps, dtype=np.int64), np.array(vals, dtype=np.float64)
+
+
 def curve_set(
     curve: CurveSpec,
     interval: tuple[float, float],
@@ -166,19 +176,16 @@ def curve_set(
     No closed-form density is known for genus >= 2; pass one if you have an
     empirical estimate, else BV tables will refuse.  d_E defaults to the
     curve's M (the set lives inside p = 1 mod M, so moduli sharing a factor
-    with M see a skewed progression).
+    with M see a skewed progression).  ``members`` traces the sieved primes
+    directly; ``contains`` re-checks one integer from scratch with ``in_P_CI``.
     """
+    t_lo, t_hi = interval
+    if not (-1.0 <= t_lo <= t_hi <= 1.0):
+        raise ValueError("interval must satisfy -1 <= lo <= hi <= 1")
 
     def _members(lo: int, hi: int) -> np.ndarray:
-        ps = primes_in(max(lo, 2), hi)
-        ps = ps[ps % curve.M == 1]
-        keep = [
-            int(p)
-            for p in ps
-            if (curve.a * curve.b * curve.c) % p != 0
-            and in_P_CI(curve, int(p), interval)
-        ]
-        return np.array(keep, dtype=np.int64)
+        ps, vals = curve_traces(curve, lo, hi)
+        return ps[(vals >= t_lo) & (vals <= t_hi)]
 
     return SetSpec(
         label=f"curve[{curve.a},{curve.b},{curve.c},{curve.alpha},{curve.beta}]"

@@ -22,9 +22,6 @@ import numpy as np
 
 from .prime_engine import is_prime, primes_in
 
-# Square-free D with h(Q(sqrt(-D))) = 1; the only norm forms supported.
-CLASS_NUMBER_ONE_D = (1, 2, 3, 7, 11, 19, 43, 67, 163)
-
 # Bulk splitting is done in int64 with products up to (p-1)^2, so the moduli
 # must stay below 2^31.  Far beyond every sweep in this package.
 _BULK_LIMIT = 1 << 31
@@ -158,7 +155,7 @@ def hecke_angle(s: SplitPrime) -> float:
     """Angle of the canonical degree-4 Hecke character value for Q(i)."""
     if s.D != 1:
         raise ValueError("hecke_angle is defined for D = 1 splits only")
-    return (4.0 * atan2(s.b, s.a) / (2.0 * pi)) % 1.0
+    return s.theta
 
 
 def in_P_eps(p: int, eps: float) -> bool:

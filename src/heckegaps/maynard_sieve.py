@@ -31,14 +31,6 @@ from typing import Sequence
 import numpy as np
 
 
-class ConvergenceError(RuntimeError):
-    """Eigensolve ran out of budget; ``result`` holds the best iterate."""
-
-    def __init__(self, message: str, result: "VariationalResult"):
-        super().__init__(message)
-        self.result = result
-
-
 @dataclass(frozen=True)
 class SieveBasis:
     """Exponent pairs (a, b) for the family (1-P1)^a P2^b, a + 2b <= degree."""
@@ -50,7 +42,12 @@ class SieveBasis:
 
 @dataclass(frozen=True)
 class VariationalResult:
-    """A certified lower bound M_k >= k * lambda with its optimizer."""
+    """The float estimate k * lambda of M_k over the basis, with its optimizer.
+
+    ``Mk_lower`` comes from a floating-point eigensolve, so it is not a
+    certified bound; ``rayleigh_quotient`` re-evaluates the coefficients
+    against the exact forms.
+    """
 
     k: int
     degree: int
@@ -148,7 +145,7 @@ def build_forms(k: int, degree: int):
         int_0^u (u - t)^a t^{2j} dt = a! (2j)! / (a + 2j + 1)! * u^{a+2j+1},
 
     after binomially splitting P2 = P2' + t_k^2.  The intended envelope is
-    k <= 200, degree <= 8 (larger inputs stay exact, just slower).
+    k <= 200, degree <= 14 (larger inputs stay exact, just slower).
     """
     bas = sieve_basis(k, degree)
     n = len(bas.elements)
@@ -181,19 +178,6 @@ def _flog(fr: Fraction) -> float:
     return log(fr.numerator) - log(fr.denominator)
 
 
-def _orth(columns: list[np.ndarray]) -> np.ndarray:
-    """Gram-Schmidt with deterministic drop of near-dependent directions."""
-    out = []
-    for v in columns:
-        w = v.astype(np.float64).copy()
-        for u in out:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-12:
-            out.append(w / nrm)
-    return np.stack(out, axis=1)
-
-
 def rayleigh_quotient(I, J, coefficients, k: int) -> float:
     """k * (c^T J c) / (c^T I c) with the exact Fraction matrices.
 
@@ -218,18 +202,16 @@ def rayleigh_quotient(I, J, coefficients, k: int) -> float:
     return float(k * num / den)
 
 
-def optimize_Mk(
-    k: int, degree: int, max_iter: int = 10_000, tol: float = 1e-12
-) -> VariationalResult:
+def optimize_Mk(k: int, degree: int) -> VariationalResult:
     """Largest eigenvalue of J c = lambda I c; M_k lower bound = k * lambda.
 
     The pencil is reduced to an ordinary symmetric problem on the
     I-orthonormalized basis (congruence scaling to unit I-diagonal first,
-    using exact entry ratios so no factorial magnitudes ever meet a float),
-    then solved by an inverse-free Rayleigh-quotient iteration: each step
-    diagonalizes the projection onto span{x, residual, previous step}.
-    Deterministic all-ones start; budget ``max_iter`` with relative tolerance
-    ``tol`` on lambda.
+    using exact entry ratios so no factorial magnitudes ever meet a float,
+    then a Cholesky factor of the scaled I), and that matrix of at most a few
+    dozen rows is diagonalized in one dense ``eigh``.  Its top eigenvector is
+    mapped back to the original basis and scaled so its largest coefficient
+    is +1.  ``iterations`` is always 1: one dense solve.
     """
     bas, I, J = build_forms(k, degree)
     n = len(bas.elements)
@@ -247,47 +229,18 @@ def optimize_Mk(
     Linv = np.linalg.inv(L)
     A = Linv @ Jn @ Linv.T
     A = 0.5 * (A + A.T)
-
-    def finish(y: np.ndarray, lam: float, iters: int) -> VariationalResult:
-        c_scaled = np.linalg.solve(L.T, y)
-        # undo the unit-diagonal scaling: original c_i = scaled_i / sqrt(I_ii)
-        c = np.array(
-            [c_scaled[i] * exp(-0.5 * _flog(I[i][i])) for i in range(n)]
-        )
-        top = int(np.argmax(np.abs(c)))
-        if c[top] < 0:
-            c = -c
-        c = c / np.abs(c[top])
-        return VariationalResult(
-            k=k,
-            degree=degree,
-            Mk_lower=k * lam,
-            coefficients=c,
-            iterations=iters,
-            basis=bas,
-        )
-
-    x = np.ones(n) / np.sqrt(n)
-    lam = float(x @ A @ x)
-    prev_step = None
-    for it in range(1, max_iter + 1):
-        r = A @ x - lam * x
-        cols = [x, r] if prev_step is None else [x, r, prev_step]
-        Q = _orth(cols)
-        B = Q.T @ A @ Q
-        B = 0.5 * (B + B.T)
-        evals, evecs = np.linalg.eigh(B)
-        lam_new = float(evals[-1])
-        x_new = Q @ evecs[:, -1]
-        x_new /= np.linalg.norm(x_new)
-        prev_step = x_new - x
-        done = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-        x, lam = x_new, lam_new
-        if done:
-            return finish(x, lam, it)
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (lambda ~ {lam!r})",
-        finish(x, lam, max_iter),
+    evals, evecs = np.linalg.eigh(A)
+    c_scaled = np.linalg.solve(L.T, evecs[:, -1])
+    # undo the unit-diagonal scaling: original c_i = scaled_i / sqrt(I_ii)
+    c = np.array([c_scaled[i] * exp(-0.5 * _flog(I[i][i])) for i in range(n)])
+    c = c / c[int(np.argmax(np.abs(c)))]
+    return VariationalResult(
+        k=k,
+        degree=degree,
+        Mk_lower=k * float(evals[-1]),
+        coefficients=c,
+        iterations=1,
+        basis=bas,
     )
 
 

@@ -70,37 +70,16 @@ def cdf(m: Measure, t: float) -> float:
     """mu([-1, t]), right-continuous."""
     if not -1.0 <= t <= 1.0:
         raise ValueError("t must lie in [-1, 1]")
-    if m.kind == "arcsine":
-        return 0.5 + asin(t) / pi
-    if m.kind == "cm_mixture":
-        return 0.25 + asin(t) / (2.0 * pi) + (0.5 if t >= 0.0 else 0.0)
-    total = 0.0
-    for lo, hi, mass_i in zip(m.edges[:-1], m.edges[1:], m.masses):
-        if hi < lo or lo == hi:  # atom
-            if lo <= t:
-                total += mass_i
-        elif hi <= t:
-            total += mass_i
-        elif lo <= t < hi:
-            total += mass_i * (t - lo) / (hi - lo)
-    return float(total)
+    return float(cdf_vec(m, t))
 
 
 def atom(m: Measure, t: float) -> float:
     """The point mass mu({t}); zero except at atoms."""
-    if m.kind == "arcsine":
-        return 0.0
-    if m.kind == "cm_mixture":
-        return 0.5 if t == 0.0 else 0.0
-    total = 0.0
-    for lo, hi, mass_i in zip(m.edges[:-1], m.edges[1:], m.masses):
-        if lo == hi == t:
-            total += mass_i
-    return float(total)
+    return float(atom_vec(m, t))
 
 
 def cdf_vec(m: Measure, ts: np.ndarray) -> np.ndarray:
-    """Vectorized ``cdf`` (closed form for the analytic kinds)."""
+    """mu([-1, t]) at each t (closed form for the analytic kinds)."""
     ts = np.asarray(ts, dtype=np.float64)
     if m.kind == "arcsine":
         return 0.5 + np.arcsin(ts) / np.pi
@@ -116,6 +95,7 @@ def cdf_vec(m: Measure, ts: np.ndarray) -> np.ndarray:
 
 
 def atom_vec(m: Measure, ts: np.ndarray) -> np.ndarray:
+    """mu({t}) at each t."""
     ts = np.asarray(ts, dtype=np.float64)
     if m.kind == "arcsine":
         return np.zeros_like(ts)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from heckegaps import diagonal_curve
 from heckegaps.cli import main
 
 
@@ -24,12 +25,43 @@ def test_primes_count_json(capsys):
     assert json.loads(out) == {"lo": 2, "hi": 1000000, "count": 78498}
 
 
+def test_primes_count_matches_window(capsys):
+    lo, hi = "1e6", "1001000"
+    code, out, _ = run_cli(capsys, "primes", "--lo", lo, "--hi", hi,
+                           "--count-only", "--format", "json")
+    assert code == 0
+    count = json.loads(out)["count"]
+    code, out, _ = run_cli(capsys, "primes", "--lo", lo, "--hi", hi,
+                           "--format", "json")
+    assert code == 0
+    assert count == len(json.loads(out)["primes"]) > 0
+
+
+def test_primes_count_reversed_window_exit_1(capsys):
+    code, out, err = run_cli(capsys, "primes", "--lo", "100", "--hi", "50",
+                             "--count-only")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_split_single_json(capsys):
     code, out, _ = run_cli(capsys, "split", "--p", "13", "--format", "json")
     assert code == 0
     got = json.loads(out)
     assert got["representable"] is True
     assert (got["a"], got["b"]) == (-3, 2)
+
+
+def test_split_prime_above_2_64_is_exact(capsys):
+    p = 18446744073709551557  # the largest prime below 2^64, p = 1 mod 4
+    code, out, _ = run_cli(capsys, "split", "--p", str(p), "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    assert got["p"] == p
+    a, b = got["a"], got["b"]
+    assert a * a + b * b == p
+    assert a % 4 == 1 and b > 0
 
 
 def test_split_not_representable(capsys):
@@ -92,6 +124,23 @@ def test_equidist_ks_json(capsys):
     assert got["measure_kind"] == "arcsine"
     assert 0.0 <= got["ks"] <= 1.0
     assert got["n"] == 609
+
+
+def test_equidist_curve_traces_each_prime_once(capsys, monkeypatch):
+    calls = []
+    count = diagonal_curve.count_affine_naive
+
+    def counting(curve, p):
+        calls.append(p)
+        return count(curve, p)
+
+    monkeypatch.setattr(diagonal_curve, "count_affine_naive", counting)
+    code, out, _ = run_cli(capsys, "equidist", "--set", "curve", "--curve",
+                           "1,1,1,3,3", "--x", "2000", "--format", "json")
+    assert code == 0
+    n = json.loads(out)["n"]
+    assert n > 0
+    assert len(calls) == len(set(calls)) == n
 
 
 def test_equidist_et(capsys):
@@ -176,6 +225,11 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # not finite, not integral, or too many digits to be worth building
+    for bad in ("inf", "-inf", "nan", "2.9", "1e-3", "1e1000", "1e100000000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["primes", "--hi=" + bad])
+        assert exc.value.code == 2
 
 
 def test_bad_threads_rejected(capsys):

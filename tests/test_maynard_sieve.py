@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckegaps.maynard_sieve import (
-    ConvergenceError,
     build_forms,
     dhl_m,
     optimize_Mk,
@@ -122,14 +121,6 @@ def test_rayleigh_quotient_scale_invariant():
     a = rayleigh_quotient(I, J, c, 4)
     b = rayleigh_quotient(I, J, 5.0 * c, 4)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_convergence_error_carries_partial():
-    with pytest.raises(ConvergenceError) as err:
-        optimize_Mk(5, 2, max_iter=1, tol=1e-30)
-    partial = err.value.result
-    assert partial.iterations == 1
-    assert partial.Mk_lower > 0
 
 
 def test_optimizer_rejects_bad_inputs():
