@@ -67,7 +67,14 @@ from .measures import (
     mass,
     uniform01,
 )
-from .prime_engine import PrimeRange, is_prime, prime_count, primes_in, sieve_range
+from .prime_engine import (
+    PrimeRange,
+    count_primes,
+    is_prime,
+    prime_count,
+    primes_in,
+    sieve_range,
+)
 from .tuples import AdmissibleTuple, is_admissible, make_tuple, narrow_tuple
 
 __version__ = "0.1.0"
@@ -100,6 +107,7 @@ __all__ = [
     "cornacchia",
     "count_affine_charsum",
     "count_affine_naive",
+    "count_primes",
     "curve_new",
     "curve_set",
     "density_P_eps",

@@ -40,9 +40,9 @@ from .equidist_stats import (
     peps_set,
 )
 from .gap_search import record_gaps, scan_tuple
-from .gaussian_split import SplitTable, canonical_split, theta_of
+from .gaussian_split import SplitTable, canonical_split, split_range, theta_of
 from .maynard_sieve import dhl_m, optimize_Mk
-from .prime_engine import primes_in
+from .prime_engine import count_primes, primes_in
 from .tuples import make_tuple, narrow_tuple
 
 DEFAULT_THETAS = (1.0 / 18.0, 0.25, 0.5, 0.9)
@@ -202,9 +202,8 @@ def _make_set(args) -> SetSpec:
 
 
 def _cmd_primes(args) -> None:
-    ps = primes_in(args.lo, args.hi)
     if args.count_only:
-        n = int(ps.size)
+        n = count_primes(args.lo, args.hi)
         payload = {"lo": args.lo, "hi": args.hi, "count": n}
         if args.format == "json":
             _emit(args, _json(payload))
@@ -213,6 +212,7 @@ def _cmd_primes(args) -> None:
         else:
             _emit(args, f"count {n}\n")
         return
+    ps = primes_in(args.lo, args.hi)
     if args.format == "json":
         _emit(args, _json({"lo": args.lo, "hi": args.hi, "count": int(ps.size),
                            "primes": [int(p) for p in ps]}))
@@ -243,9 +243,10 @@ def _cmd_split(args) -> None:
             else:
                 _emit(args, f"p={s.p} a={s.a} b={s.b} ratio={s.ratio!r} theta={s.theta!r}\n")
         return
-    tab = SplitTable.build(args.hi)
-    sel = tab.p >= args.lo
-    p, a, b = tab.p[sel], tab.a[sel], tab.b[sel]
+    # a reversed window still validates --hi, then selects no rows
+    p, a, b = split_range(max(2, min(args.lo, args.hi - 1)), args.hi)
+    sel = p >= args.lo
+    p, a, b = p[sel], a[sel], b[sel]
     ratio = a / np.sqrt(p)
     theta = theta_of(a, b)
     if args.format == "json":

@@ -103,6 +103,10 @@ def nd(curve: CurveSpec, p: int) -> int:
     For d = 1 every residue is a first power, so the answer is 1.
     """
     _check_p(curve, p)
+    return _nd(curve, p)
+
+
+def _nd(curve: CurveSpec, p: int) -> int:
     if curve.d == 1:
         return 1
     t = (-curve.a % p) * pow(curve.b, -1, p) % p
@@ -129,6 +133,10 @@ def count_affine_naive(curve: CurveSpec, p: int) -> int:
     product of the two count vectors.  Works for any p not dividing abc.
     """
     _check_p(curve, p, need_mod_M=False)
+    return _count_affine_naive(curve, p)
+
+
+def _count_affine_naive(curve: CurveSpec, p: int) -> int:
     if p > NAIVE_LIMIT:
         raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
     lhs = curve.a % p * _pow_table(p, curve.alpha) % p
@@ -217,10 +225,14 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
     element of exact order M in an auxiliary prime field large enough that the
     balanced residue is the exact integer.
     """
-    M = curve.M
-    if p % M != 1:
+    if p % curve.M != 1:
         return count_affine_naive(curve, p)
     _check_p(curve, p)
+    return _count_affine_charsum(curve, p)
+
+
+def _count_affine_charsum(curve: CurveSpec, p: int) -> int:
+    M = curve.M
     g = _primitive_root(p)
     ind = _dlog_table(p, g)
     ca = curve.c % p * pow(curve.a, -1, p) % p
@@ -243,7 +255,7 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
     # more than twice any possible |N|, map zeta_M to an order-M element
     bound = 2 * (16 * p + 4)
     P = bound + 1
-    while not (is_prime(P) and P % M == 1):
+    while not (P % M == 1 and is_prime(P)):
         P += 1
     z = _order_M_element(M, P)
     S = 0
@@ -261,14 +273,14 @@ def trace(curve: CurveSpec, p: int, backend: str = "naive") -> TraceRecord:
     """TraceRecord for p = 1 mod M; normalized = trace / (2 g sqrt(p))."""
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
-    _check_p(curve, p)
+    _check_p(curve, p)  # the only check: the counters below assume it
     if backend == "naive":
-        affine = count_affine_naive(curve, p)
+        affine = _count_affine_naive(curve, p)
     elif backend == "charsum":
-        affine = count_affine_charsum(curve, p)
+        affine = _count_affine_charsum(curve, p)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    n_d = nd(curve, p)
+    n_d = _nd(curve, p)
     tr = p + 1 - n_d - affine
     return TraceRecord(
         p=p,

@@ -80,39 +80,65 @@ def _odd_base_primes(limit: int) -> np.ndarray:
     return 2 * np.nonzero(mask)[0].astype(np.int64) + 1
 
 
-def primes_in(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
-    """All primes in [lo, hi) as an ascending int64 array.
-
-    Segmented sieve: base primes up to sqrt(hi) are found once, then each
-    window of ``segment_odds`` odd numbers is cleared with strided slices.
-    """
+def _check_range(lo: int, hi: int) -> None:
     if not (2 <= lo < hi <= RANGE_LIMIT):
         raise ValueError(f"invalid range [{lo}, {hi}): need 2 <= lo < hi <= 2^50")
+
+
+def _segments(lo: int, hi: int, segment_odds: int):
+    """Sieve the odd numbers of [max(lo, 3), hi) one segment at a time.
+
+    Yields ``(seg_lo, buf)`` where ``buf[i]`` is True iff ``seg_lo + 2 i`` is
+    prime; ``seg_lo`` is odd.  The caller has validated the range.
+
+    Base primes q <= sqrt(hi) are found once.  In each segment one numpy
+    expression gives every active q its first odd multiple >= max(q^2, seg_lo).
+    A q smaller than the buffer is cleared with a strided slice; any larger q
+    hits the buffer at most once (its odd multiples lie 2q apart), so all of
+    them are cleared by one fancy-index assignment.  int64 cannot overflow:
+    q < 2^25 and every multiple formed is at most max(q^2, seg_lo + 2q) < 2^51.
+    """
     base = _odd_base_primes(isqrt(hi - 1))
-    chunks = []
-    if lo <= 2 < hi:
-        chunks.append(np.array([2], dtype=np.int64))
-    start = max(lo, 3)
-    start += 1 - (start % 2)  # first odd >= start
-    seg_lo = start
+    seg_lo = max(lo, 3) | 1  # first odd >= max(lo, 3)
     while seg_lo < hi:
         seg_hi = min(seg_lo + 2 * segment_odds, hi)
         n_odds = (seg_hi - seg_lo + 1) // 2
         buf = np.ones(n_odds, dtype=bool)
-        for q in base:
-            q = int(q)
-            if q * q >= seg_hi:
-                break
-            first = max(q * q, ((seg_lo + q - 1) // q) * q)
-            if first % 2 == 0:
-                first += q
-            if first < seg_hi:
-                buf[(first - seg_lo) // 2 :: q] = False
-        chunks.append(seg_lo + 2 * np.nonzero(buf)[0].astype(np.int64))
-        seg_lo = seg_hi + (1 - seg_hi % 2)
+        q = base[: np.searchsorted(base, isqrt(seg_hi - 1), side="right")]
+        # odd cofactor m >= max(q, ceil(seg_lo / q)); m * q is then odd
+        idx = ((np.maximum(q, -(-seg_lo // q)) | 1) * q - seg_lo) // 2
+        n_small = int(np.searchsorted(q, n_odds))
+        for qi, i in zip(q[:n_small].tolist(), idx[:n_small].tolist()):
+            buf[i::qi] = False
+        hits = idx[n_small:]
+        buf[hits[hits < n_odds]] = False
+        yield seg_lo, buf
+        seg_lo = seg_hi | 1
+
+
+def primes_in(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
+    """All primes in [lo, hi) as an ascending int64 array.
+
+    Segmented, odd-only sieve; see ``_segments`` for the clearing scheme.
+    """
+    _check_range(lo, hi)
+    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    for seg_lo, buf in _segments(lo, hi, segment_odds):
+        chunks.append(seg_lo + 2 * np.flatnonzero(buf).astype(np.int64))
     if not chunks:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(chunks)
+
+
+def count_primes(lo: int, hi: int) -> int:
+    """The number of primes in [lo, hi), counted per segment.
+
+    Same result as ``primes_in(lo, hi).size`` in memory bounded by one
+    segment and the base primes, whatever the width of the range.
+    """
+    _check_range(lo, hi)
+    return int(lo <= 2) + sum(
+        int(np.count_nonzero(buf)) for _, buf in _segments(lo, hi, SEGMENT_ODDS))
 
 
 def sieve_range(lo: int, hi: int) -> PrimeRange:
@@ -124,4 +150,4 @@ def prime_count(x: int) -> int:
     """pi(x), the number of primes <= x."""
     if x < 2:
         raise ValueError("prime_count needs x >= 2")
-    return int(primes_in(2, x + 1).size)
+    return count_primes(2, x + 1)

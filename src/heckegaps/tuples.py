@@ -53,11 +53,21 @@ def is_admissible(offsets: Sequence[int]) -> tuple[bool, Optional[int]]:
     """
     arr = _validate_offsets(offsets)
     k = int(arr.size)
-    for p in primes_in(2, k + 1) if k >= 2 else []:
-        p = int(p)
+    witness = _covering_prime(arr, _primes_upto(k))
+    return witness is None, witness
+
+
+def _primes_upto(k: int) -> list[int]:
+    """The primes p <= k, the only ones an admissibility check needs."""
+    return [int(p) for p in primes_in(2, k + 1)] if k >= 2 else []
+
+
+def _covering_prime(arr: np.ndarray, primes: list[int]) -> Optional[int]:
+    """The first p in ``primes`` whose residue classes ``arr`` all covers."""
+    for p in primes:
         if np.unique(arr % p).size == p:
-            return False, p
-    return True, None
+            return p
+    return None
 
 
 def make_tuple(offsets: Sequence[int]) -> AdmissibleTuple:
@@ -98,13 +108,14 @@ def narrow_tuple(k: int) -> AdmissibleTuple:
         return AdmissibleTuple(offsets=(0,), k=1, diameter=0, witness=None)
     base = _k_primes_past(k)
     H = [p - base[0] for p in base]
+    small = _primes_upto(k)  # every candidate has k offsets
     while True:
         holes = sorted(set(range(H[0] + 1, H[-1])) - set(H))
         moved = False
         for body in (H[:-1], H[1:]):
             for t in holes:
                 cand = sorted(body + [t])
-                if is_admissible(cand)[0]:
+                if _covering_prime(np.asarray(cand, dtype=np.int64), small) is None:
                     shift = cand[0]
                     H = [h - shift for h in cand]
                     moved = True

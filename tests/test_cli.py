@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from heckegaps import diagonal_curve
@@ -35,6 +36,19 @@ def test_primes_count_matches_window(capsys):
                            "--format", "json")
     assert code == 0
     assert count == len(json.loads(out)["primes"]) > 0
+
+
+def test_primes_count_never_lists_primes(capsys, monkeypatch):
+    from heckegaps import cli, prime_engine
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("--count-only built the prime array")
+
+    monkeypatch.setattr(cli, "primes_in", refuse)
+    monkeypatch.setattr(prime_engine, "primes_in", refuse)
+    code, out, _ = run_cli(capsys, "primes", "--lo", "1e6", "--hi", "2e6",
+                           "--count-only")
+    assert (code, out) == (0, "count 70435\n")
 
 
 def test_primes_count_reversed_window_exit_1(capsys):
@@ -79,6 +93,33 @@ def test_split_range_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "p,a,b,ratio,theta"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["5", "13", "17", "29"]
+
+
+def _split_window_by_table(lo, hi):
+    """`split --lo --hi --format csv` as the whole-table path computes it:
+    every split below hi, then the rows with p >= lo."""
+    from heckegaps.gaussian_split import SplitTable, theta_of
+
+    try:
+        tab = SplitTable.build(hi)
+    except ValueError:
+        return 1, ""
+    sel = tab.p >= lo
+    p, a, b = tab.p[sel], tab.a[sel], tab.b[sel]
+    ratio, theta = a / np.sqrt(p), theta_of(a, b)
+    return 0, "p,a,b,ratio,theta\n" + "".join(
+        f"{int(p[i])},{int(a[i])},{int(b[i])},{float(ratio[i])!r},{float(theta[i])!r}\n"
+        for i in range(p.size))
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (2, 1000), (-5, 40), (0, 2), (0, 1), (100, 50), (50, 50), (13, 14), (14, 17),
+    (999_000, 1_001_000), (2_000_000, 2_020_000), (3_000_000_000, 2_500_000_000),
+])
+def test_split_window_matches_whole_table(capsys, lo, hi):
+    code, out, _ = run_cli(capsys, "split", "--lo", str(lo), "--hi", str(hi),
+                           "--format", "csv")
+    assert (code, out) == _split_window_by_table(lo, hi)
 
 
 def test_split_flag_conflict(capsys):
@@ -128,13 +169,13 @@ def test_equidist_ks_json(capsys):
 
 def test_equidist_curve_traces_each_prime_once(capsys, monkeypatch):
     calls = []
-    count = diagonal_curve.count_affine_naive
+    count = diagonal_curve._count_affine_naive
 
     def counting(curve, p):
         calls.append(p)
         return count(curve, p)
 
-    monkeypatch.setattr(diagonal_curve, "count_affine_naive", counting)
+    monkeypatch.setattr(diagonal_curve, "_count_affine_naive", counting)
     code, out, _ = run_cli(capsys, "equidist", "--set", "curve", "--curve",
                            "1,1,1,3,3", "--x", "2000", "--format", "json")
     assert code == 0

@@ -107,6 +107,25 @@ def test_trace_rejects_bad_primes():
         trace(TWISTED, 2)  # divides a coefficient
 
 
+def test_trace_checks_primality_once(monkeypatch):
+    from heckegaps import diagonal_curve
+
+    calls = []
+    check = diagonal_curve.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return check(n)
+
+    monkeypatch.setattr(diagonal_curve, "is_prime", counting)
+    assert trace(CUBIC, 10009).p == 10009
+    assert calls == [10009]
+    # called directly, each counter still validates its prime
+    for fn in (nd, count_affine_naive, count_affine_charsum):
+        with pytest.raises(ValueError):
+            fn(CUBIC, 10011)  # 3 * 47 * 71
+
+
 @pytest.mark.parametrize("curve", [CUBIC, QUARTIC, HYPER, TWISTED])
 def test_hasse_bound_small(curve):
     for p in primes_in(2, 400):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckegaps.prime_engine import (
+    SEGMENT_ODDS,
     PrimeRange,
+    count_primes,
     is_prime,
     prime_count,
     primes_in,
@@ -31,9 +33,10 @@ def test_small_range_matches_table():
 
 
 def test_classical_counts():
-    # pi(10^6) and pi(10^7) are classical table values.
+    # pi(10^6), pi(10^7) and pi(10^8) are classical table values.
     assert prime_count(10**6) == 78498
     assert prime_count(10**7) == 664579
+    assert prime_count(10**8) == 5761455
 
 
 def test_edge_windows():
@@ -44,14 +47,15 @@ def test_edge_windows():
 
 
 def test_invalid_ranges_rejected():
-    with pytest.raises(ValueError):
-        primes_in(10, 10)
-    with pytest.raises(ValueError):
-        primes_in(10, 5)
-    with pytest.raises(ValueError):
-        primes_in(1, 10)
-    with pytest.raises(ValueError):
-        primes_in(2, (1 << 50) + 2)
+    for fn in (primes_in, count_primes):
+        with pytest.raises(ValueError):
+            fn(10, 10)
+        with pytest.raises(ValueError):
+            fn(10, 5)
+        with pytest.raises(ValueError):
+            fn(1, 10)
+        with pytest.raises(ValueError):
+            fn(2, (1 << 50) + 2)
 
 
 @given(st.integers(min_value=2, max_value=20000), st.integers(min_value=1, max_value=500))
@@ -59,6 +63,33 @@ def test_window_agrees_with_trial_division(lo, width):
     got = primes_in(lo, lo + width).tolist()
     want = [n for n in range(lo, lo + width) if trial_division(n)]
     assert got == want
+
+
+@st.composite
+def far_windows(draw):
+    """(lo, hi, segment_odds): lo in [2^40, 2^50 - width], width <= 3000.
+
+    The binary magnitude of lo is drawn first, so windows near 2^40 are as
+    likely as windows near the range limit.  Segment sizes 8 and 64 put seams
+    inside the window and make nearly every base prime longer than a segment.
+    Each segment recomputes the starts of all base primes (about 25 ms near
+    2^50), so the width is capped at 16 segments to keep an example fast.
+    """
+    segment_odds = draw(st.sampled_from((8, 64, SEGMENT_ODDS)))
+    width = draw(st.integers(min_value=1, max_value=min(3000, 32 * segment_odds)))
+    e = draw(st.integers(min_value=40, max_value=49))
+    lo = draw(st.integers(min_value=1 << e, max_value=min(1 << (e + 1), (1 << 50) - width)))
+    return lo, lo + width, segment_odds
+
+
+@settings(max_examples=15)
+@given(far_windows())
+@example(((1 << 50) - 1024, 1 << 50, 32))
+def test_far_window_agrees_with_is_prime(window):
+    lo, hi, segment_odds = window
+    got = primes_in(lo, hi, segment_odds=segment_odds)
+    assert got.tolist() == [n for n in range(lo, hi) if is_prime(n)]
+    assert count_primes(lo, hi) == got.size
 
 
 @given(st.integers(min_value=0, max_value=30000))
