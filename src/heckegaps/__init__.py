@@ -16,6 +16,7 @@ from .diagonal_curve import (
     count_affine_charsum,
     count_affine_naive,
     curve_new,
+    curve_primes,
     eps_interval,
     in_P_CI,
     load_trace_cache,
@@ -43,6 +44,7 @@ from .gaussian_split import (
     cornacchia,
     hecke_angle,
     in_P_eps,
+    peps_cut,
     split_range,
     theta_of,
 )
@@ -67,14 +69,7 @@ from .measures import (
     mass,
     uniform01,
 )
-from .prime_engine import (
-    PrimeRange,
-    count_primes,
-    is_prime,
-    prime_count,
-    primes_in,
-    sieve_range,
-)
+from .prime_engine import count_primes, is_prime, prime_count, primes_in
 from .tuples import AdmissibleTuple, is_admissible, make_tuple, narrow_tuple
 
 __version__ = "0.1.0"
@@ -86,7 +81,6 @@ __all__ = [
     "CacheFormatError",
     "CurveSpec",
     "Measure",
-    "PrimeRange",
     "ScanReport",
     "SetSpec",
     "SieveBasis",
@@ -109,6 +103,7 @@ __all__ = [
     "count_affine_naive",
     "count_primes",
     "curve_new",
+    "curve_primes",
     "curve_set",
     "density_P_eps",
     "dhl_m",
@@ -127,6 +122,7 @@ __all__ = [
     "mass",
     "narrow_tuple",
     "optimize_Mk",
+    "peps_cut",
     "peps_set",
     "prime_count",
     "primes_in",
@@ -135,7 +131,6 @@ __all__ = [
     "save_trace_cache",
     "scan_tuple",
     "sieve_basis",
-    "sieve_range",
     "simplex_integral",
     "split_range",
     "theta_of",

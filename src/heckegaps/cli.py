@@ -25,7 +25,9 @@ from .diagonal_curve import (
     CurveSpec,
     TraceStore,
     curve_new,
+    curve_primes,
     eps_interval,
+    trace,
 )
 from .equidist_stats import (
     SetSpec,
@@ -40,7 +42,7 @@ from .equidist_stats import (
     peps_set,
 )
 from .gap_search import record_gaps, scan_tuple
-from .gaussian_split import SplitTable, canonical_split, split_range, theta_of
+from .gaussian_split import SplitTable, canonical_split, peps_cut, split_range, theta_of
 from .maynard_sieve import dhl_m, optimize_Mk
 from .prime_engine import count_primes, primes_in
 from .tuples import make_tuple, narrow_tuple
@@ -270,8 +272,7 @@ def _cmd_curve_trace(args) -> None:
     if args.p is not None:
         ps = [args.p]
     elif args.lo is not None and args.hi is not None:
-        ps = [int(q) for q in primes_in(args.lo, args.hi)
-              if q % curve.M == 1 and (curve.a * curve.b * curve.c) % q != 0]
+        ps = curve_primes(curve, primes_in(args.lo, args.hi))
     else:
         raise ValueError("give either --p or both --lo and --hi")
     rows = []
@@ -279,7 +280,6 @@ def _cmd_curve_trace(args) -> None:
         if args.backend == "naive":
             rec = store.get(q)
         else:
-            from .diagonal_curve import trace
             rec = trace(curve, q, backend="charsum")
             store.records[rec.p] = rec
         rows.append(rec)
@@ -310,8 +310,9 @@ def _measure_from_flag(name: str) -> ms.Measure:
 def _cmd_equidist(args) -> None:
     measure = _measure_from_flag(args.measure)
     if args.set == "peps":
+        cut = peps_cut(args.eps)  # checks eps before the table is built
         tab = SplitTable.build(args.x + 1)
-        keep = np.abs(tab.a) <= args.eps * np.sqrt(tab.p)
+        keep = cut(tab.p, tab.a)
         ratios = tab.ratios()[keep]
         angles = tab.angles()[keep]
     else:
@@ -347,7 +348,7 @@ def _cmd_equidist(args) -> None:
 
 
 def _cmd_bv(args) -> None:
-    spec = all_primes_set() if args.set == "primes" else peps_set(args.eps)
+    spec = _make_set(args)
     table = bv_table(spec, args.x, args.Q, y_grid=args.y_grid, delta=args.delta)
     if args.format == "json":
         _emit(args, _json({

@@ -16,9 +16,10 @@ Two independent counting backends are provided and must agree exactly: a
 value-table convolution over F_p (``count_affine_naive``) and an exact
 Jacobi-sum accumulation over discrete-log residue classes
 (``count_affine_charsum``).  The character-sum backend avoids floating-point
-roots of unity entirely: the integer bucket vector is evaluated at an element
-of exact multiplicative order M in a large auxiliary prime field, which
-recovers the exact integer count by balanced reduction.
+roots of unity entirely: its total sum_k n_k zeta_M^k is a rational integer,
+so it equals its trace over Q divided by phi(M), and the trace of zeta_M^k is
+the Ramanujan sum c_M(k) (Hardy & Wright, ch. XVI).  Everything is integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import gcd, isqrt, sqrt
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -97,6 +98,16 @@ def _check_p(curve: CurveSpec, p: int, need_mod_M: bool = True) -> None:
         raise ValueError(f"p={p} is not 1 mod M={curve.M}")
 
 
+def curve_primes(curve: CurveSpec, primes: Iterable[int]) -> list[int]:
+    """The p of ``primes`` with p = 1 mod M and p not dividing abc, in order:
+    the primes the trace is defined at.
+
+    The filter runs on Python ints, so coefficients of any size are exact.
+    """
+    abc = curve.a * curve.b * curve.c
+    return [p for p in map(int, primes) if p % curve.M == 1 and abc % p]
+
+
 def nd(curve: CurveSpec, p: int) -> int:
     """d when -a/b is a d-th power residue mod p, else 0.
 
@@ -140,27 +151,32 @@ def _count_affine_naive(curve: CurveSpec, p: int) -> int:
     if p > NAIVE_LIMIT:
         raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
     lhs = curve.a % p * _pow_table(p, curve.alpha) % p
-    rhs = (curve.c - curve.b * _pow_table(p, curve.beta)) % p
+    rhs = (curve.c % p - curve.b % p * _pow_table(p, curve.beta)) % p
     cnt1 = np.bincount(lhs, minlength=p)
     cnt2 = np.bincount(rhs, minlength=p)
     return int(cnt1 @ cnt2)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    fac = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            fac.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        fac.append(n)
+    return fac
 
 
 def _primitive_root(p: int) -> int:
     """Smallest primitive root mod p, by ascending search (reproducible)."""
     if p == 2:
         return 1
-    fac = []
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            fac.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        fac.append(m)
+    fac = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
@@ -189,24 +205,20 @@ def _dlog_table(p: int, g: int) -> np.ndarray:
     return ind
 
 
-def _order_M_element(M: int, P: int) -> int:
-    """An element of exact multiplicative order M in F_P (P = 1 mod M)."""
-    fac = []
-    m = M
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            fac.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        fac.append(m)
-    for h in range(2, P):
-        z = pow(h, (P - 1) // M, P)
-        if all(pow(z, M // q, P) != 1 for q in fac):
-            return z
-    raise RuntimeError("no order-M element found")  # unreachable
+def _ramanujan_sums(M: int) -> list[int]:
+    """c_M(k) = sum_{d | gcd(k, M)} d mu(M/d) for k = 0..M-1.
+
+    c_M(k) is the trace from Q(zeta_M) to Q of zeta_M^k; c_M(0) = phi(M).
+    """
+    qs = _prime_factors(M)
+
+    def mu(n: int) -> int:
+        if any(n % (q * q) == 0 for q in qs):
+            return 0
+        return (-1) ** sum(n % q == 0 for q in qs)
+
+    divs = [d for d in range(1, M + 1) if M % d == 0]
+    return [sum(d * mu(M // d) for d in divs if k % d == 0) for k in range(M)]
 
 
 def count_affine_charsum(curve: CurveSpec, p: int) -> int:
@@ -220,10 +232,12 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
                 chi^j(c/a) psi^l(c/b) J(chi^j, psi^l),
 
     where A and B count the one-variable solutions on the axes.  All Jacobi
-    sums are accumulated as one integer vector over the M residue classes of
-    the combined discrete-log exponent, then the vector is evaluated at an
-    element of exact order M in an auxiliary prime field large enough that the
-    balanced residue is the exact integer.
+    sums are accumulated as one integer vector n_k over the M residue classes
+    of the combined discrete-log exponent, so the double sum is
+    S = sum_k n_k zeta_M^k.  S = N - A(c) - B(c) is a rational integer, hence
+    equal to its trace over Q divided by phi(M); the trace of zeta_M^k is the
+    Ramanujan sum c_M(k), so S = sum_k n_k c_M(k) / phi(M) exactly, in
+    integers.
     """
     if p % curve.M != 1:
         return count_affine_naive(curve, p)
@@ -251,22 +265,12 @@ def _count_affine_charsum(curve: CurveSpec, p: int) -> int:
             bc = np.bincount((sa * j * iw + sb * l * i1w) % M, minlength=M)
             shift = (sa * j * int(ind[ca]) + sb * l * int(ind[cb])) % M
             buckets[(ks + shift) % M] += bc
-    # evaluate sum_k buckets[k] * zeta_M^k exactly: pick P = 1 mod M with P
-    # more than twice any possible |N|, map zeta_M to an order-M element
-    bound = 2 * (16 * p + 4)
-    P = bound + 1
-    while not (P % M == 1 and is_prime(P)):
-        P += 1
-    z = _order_M_element(M, P)
-    S = 0
-    zk = 1
-    for k in range(M):
-        S = (S + int(buckets[k]) * zk) % P
-        zk = zk * z % P
-    S = (A_c + B_c + S) % P
-    if S > P // 2:
-        S -= P
-    return S
+    # the trace over Q of sum_k buckets[k] zeta_M^k, then divide by phi(M)
+    cs = _ramanujan_sums(M)
+    S, rem = divmod(sum(n * c for n, c in zip(buckets.tolist(), cs)), cs[0])
+    if rem:
+        raise RuntimeError("Jacobi-sum total is not a rational integer")
+    return A_c + B_c + S
 
 
 def trace(curve: CurveSpec, p: int, backend: str = "naive") -> TraceRecord:
@@ -274,21 +278,24 @@ def trace(curve: CurveSpec, p: int, backend: str = "naive") -> TraceRecord:
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
     _check_p(curve, p)  # the only check: the counters below assume it
+    return _trace(curve, p, backend)
+
+
+def _trace(curve: CurveSpec, p: int, backend: str) -> TraceRecord:
     if backend == "naive":
         affine = _count_affine_naive(curve, p)
     elif backend == "charsum":
         affine = _count_affine_charsum(curve, p)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    n_d = _nd(curve, p)
+    return _record(curve, p, _nd(curve, p), affine)
+
+
+def _record(curve: CurveSpec, p: int, n_d: int, affine: int) -> TraceRecord:
+    """The TraceRecord of p from N_d and the affine count."""
     tr = p + 1 - n_d - affine
-    return TraceRecord(
-        p=p,
-        nd=n_d,
-        affine_count=affine,
-        trace=tr,
-        normalized=tr / (2.0 * curve.g * sqrt(p)),
-    )
+    normalized = tr / (2.0 * curve.g * sqrt(p)) if curve.g else float("nan")
+    return TraceRecord(p=p, nd=n_d, affine_count=affine, trace=tr, normalized=normalized)
 
 
 def in_P_CI(curve: CurveSpec, p: int, interval: tuple[float, float]) -> bool:
@@ -299,12 +306,9 @@ def in_P_CI(curve: CurveSpec, p: int, interval: tuple[float, float]) -> bool:
     lo, hi = interval
     if not (-1.0 <= lo <= hi <= 1.0):
         raise ValueError("interval must satisfy -1 <= lo <= hi <= 1")
-    if p < 2 or not is_prime(p):
+    if p < 2 or not is_prime(p) or not curve_primes(curve, [p]):
         return False
-    if p % curve.M != 1 or (curve.a * curve.b * curve.c) % p == 0:
-        return False
-    rec = trace(curve, p)
-    return lo <= rec.normalized <= hi
+    return lo <= _trace(curve, p, "naive").normalized <= hi
 
 
 def eps_interval(curve: CurveSpec, eps: float) -> tuple[float, float]:
@@ -356,18 +360,11 @@ def load_trace_cache(path, curve: CurveSpec) -> list[TraceRecord]:
             raise CacheFormatError(f"line {idx}: non-integer field ({e})") from e
         if p <= prev_p:
             raise CacheFormatError(f"line {idx}: primes not strictly ascending")
-        if n_d not in (0, curve.d) or tr != p + 1 - n_d - affine:
+        rec = _record(curve, p, n_d, affine)
+        if n_d not in (0, curve.d) or tr != rec.trace:
             raise CacheFormatError(f"line {idx}: inconsistent record for p={p}")
         prev_p = p
-        out.append(
-            TraceRecord(
-                p=p,
-                nd=n_d,
-                affine_count=affine,
-                trace=tr,
-                normalized=tr / (2.0 * curve.g * sqrt(p)) if curve.g else float("nan"),
-            )
-        )
+        out.append(rec)
     return out
 
 
@@ -384,12 +381,9 @@ class TraceStore:
         self.records: dict[int, TraceRecord] = {}
         if path is not None:
             try:
-                with open(path, "r", encoding="ascii"):
-                    pass
+                self.records = {r.p: r for r in load_trace_cache(path, curve)}
             except FileNotFoundError:
-                return
-            for r in load_trace_cache(path, curve):
-                self.records[r.p] = r
+                pass
 
     def get(self, p: int) -> TraceRecord:
         r = self.records.get(p)

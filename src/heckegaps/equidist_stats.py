@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import measures as ms
-from .diagonal_curve import CurveSpec, in_P_CI, trace
-from .gaussian_split import SplitTable, in_P_eps, split_range
+from .diagonal_curve import CurveSpec, curve_primes, in_P_CI, trace
+from .gaussian_split import SplitTable, in_P_eps, peps_cut, split_range
 from .prime_engine import is_prime, primes_in
 
 
@@ -134,8 +134,7 @@ def peps_set(eps: float, table: Optional[SplitTable] = None) -> SetSpec:
     A precomputed SplitTable avoids re-splitting on repeated queries; ranges
     beyond its coverage fall back to a fresh sweep.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+    cut = peps_cut(eps)
 
     def _members(lo: int, hi: int) -> np.ndarray:
         if table is not None and lo >= 2 and hi <= table.hi:
@@ -144,7 +143,7 @@ def peps_set(eps: float, table: Optional[SplitTable] = None) -> SetSpec:
             a = table.a[sel]
         else:
             p, a, _ = split_range(max(lo, 2), hi)
-        return p[np.abs(a) <= eps * np.sqrt(p)]
+        return p[cut(p, a)]
 
     return SetSpec(
         label=f"peps[{eps!r}]",
@@ -158,9 +157,7 @@ def peps_set(eps: float, table: Optional[SplitTable] = None) -> SetSpec:
 def curve_traces(curve: CurveSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Primes p in [lo, hi) with p = 1 mod M and p not dividing abc, and the
     normalized trace of each, every prime traced exactly once."""
-    ps = primes_in(max(lo, 2), hi)
-    abc = curve.a * curve.b * curve.c
-    ps = [int(p) for p in ps[ps % curve.M == 1] if abc % int(p) != 0]
+    ps = curve_primes(curve, primes_in(max(lo, 2), hi))
     vals = [trace(curve, p).normalized for p in ps]
     return np.array(ps, dtype=np.int64), np.array(vals, dtype=np.float64)
 

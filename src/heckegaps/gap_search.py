@@ -110,6 +110,8 @@ def record_gaps(
     ascending by gap then by p.  Empty when the set has fewer than 2 members."""
     if x < 100:
         raise ValueError("x must be >= 100")
+    if n_records < 0:
+        raise ValueError("n_records must be >= 0")
     members = np.asarray(set_spec.members(2, x + 1))
     if members.size < 2:
         return []

@@ -15,7 +15,7 @@ element-for-element with the scalar ``canonical_split``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, isqrt, pi, sqrt
+from math import isqrt, sqrt
 from typing import Optional
 
 import numpy as np
@@ -141,14 +141,7 @@ def canonical_split(p: int) -> Optional[SplitPrime]:
     a, b = pair  # a odd, b even by the D=1 ordering
     if a % 4 != 1:
         a = -a
-    return SplitPrime(
-        p=p,
-        D=1,
-        a=a,
-        b=b,
-        ratio=a / sqrt(p),
-        theta=(4.0 * atan2(b, a) / (2.0 * pi)) % 1.0,
-    )
+    return SplitPrime(p=p, D=1, a=a, b=b, ratio=a / sqrt(p), theta=float(theta_of(a, b)))
 
 
 def hecke_angle(s: SplitPrime) -> float:
@@ -158,16 +151,23 @@ def hecke_angle(s: SplitPrime) -> float:
     return s.theta
 
 
-def in_P_eps(p: int, eps: float) -> bool:
-    """Membership in P_eps = {p = a^2 + b^2 : |a| <= eps * sqrt(p)}.
+def peps_cut(eps: float):
+    """The P_eps cut |a| <= eps * sqrt(p) as a predicate on (p, a).
 
-    eps up to 1.0 is accepted for experiments; every split prime belongs at
-    eps = 1 since a^2 < p.
+    Elementwise on arrays of canonical splits, and on scalars.  eps up to 1.0
+    is accepted for experiments; every split prime passes at eps = 1 since
+    a^2 < p.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
+    return lambda p, a: np.abs(a) <= eps * np.sqrt(p)
+
+
+def in_P_eps(p: int, eps: float) -> bool:
+    """Membership in P_eps = {p = a^2 + b^2 : |a| <= eps * sqrt(p)}."""
+    cut = peps_cut(eps)
     s = canonical_split(p)
-    return s is not None and abs(s.a) <= eps * sqrt(p)
+    return s is not None and bool(cut(p, s.a))
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,8 @@ def optimize_Mk(k: int, degree: int) -> VariationalResult:
     then a Cholesky factor of the scaled I), and that matrix of at most a few
     dozen rows is diagonalized in one dense ``eigh``.  Its top eigenvector is
     mapped back to the original basis and scaled so its largest coefficient
-    is +1.  ``iterations`` is always 1: one dense solve.
+    is +1.  ``iterations`` is always 1: one dense solve.  Raises ValueError
+    when k is so large that the unscaled coefficients overflow a float.
     """
     bas, I, J = build_forms(k, degree)
     n = len(bas.elements)
@@ -232,7 +233,13 @@ def optimize_Mk(k: int, degree: int) -> VariationalResult:
     evals, evecs = np.linalg.eigh(A)
     c_scaled = np.linalg.solve(L.T, evecs[:, -1])
     # undo the unit-diagonal scaling: original c_i = scaled_i / sqrt(I_ii)
-    c = np.array([c_scaled[i] * exp(-0.5 * _flog(I[i][i])) for i in range(n)])
+    try:
+        scale = np.array([exp(-0.5 * _flog(I[i][i])) for i in range(n)])
+        with np.errstate(over="raise"):
+            c = c_scaled * scale
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"k={k} is beyond the float reduction's range: "
+                         "undoing the basis scaling overflows a float") from None
     c = c / c[int(np.argmax(np.abs(c)))]
     return VariationalResult(
         k=k,

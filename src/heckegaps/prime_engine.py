@@ -8,7 +8,6 @@ strict: exact output, stable ordering, no probabilistic behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -24,21 +23,6 @@ RANGE_LIMIT = 1 << 50
 # Deterministic Miller-Rabin witnesses, a verified base set for all n < 2^64
 # (the first twelve primes).  Fixed so results are reproducible everywhere.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@dataclass(frozen=True)
-class PrimeRange:
-    """Primes in a half-open window [lo, hi), ascending."""
-
-    lo: int
-    hi: int
-    primes: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-    def __iter__(self):
-        return iter(int(p) for p in self.primes)
 
 
 def is_prime(n: int) -> bool:
@@ -65,21 +49,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _odd_base_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit by a plain boolean sieve (small inputs only)."""
-    if limit < 3:
-        return np.empty(0, dtype=np.int64)
-    # index i represents the odd number 2i + 1; entry 0 (the number 1) is dead
-    size = (limit - 1) // 2 + 1
-    mask = np.ones(size, dtype=bool)
-    mask[0] = False
-    for i in range(1, isqrt(limit) // 2 + 1):
-        if mask[i]:
-            q = 2 * i + 1
-            mask[(q * q) // 2 :: q] = False
-    return 2 * np.nonzero(mask)[0].astype(np.int64) + 1
-
-
 def _check_range(lo: int, hi: int) -> None:
     if not (2 <= lo < hi <= RANGE_LIMIT):
         raise ValueError(f"invalid range [{lo}, {hi}): need 2 <= lo < hi <= 2^50")
@@ -91,14 +60,17 @@ def _segments(lo: int, hi: int, segment_odds: int):
     Yields ``(seg_lo, buf)`` where ``buf[i]`` is True iff ``seg_lo + 2 i`` is
     prime; ``seg_lo`` is odd.  The caller has validated the range.
 
-    Base primes q <= sqrt(hi) are found once.  In each segment one numpy
+    The odd base primes q <= sqrt(hi) come from this same kernel, called
+    recursively on [3, sqrt(hi)] with the default segment size (a recursion
+    of depth log log hi, ending where sqrt(hi) < 3).  In each segment one numpy
     expression gives every active q its first odd multiple >= max(q^2, seg_lo).
     A q smaller than the buffer is cleared with a strided slice; any larger q
     hits the buffer at most once (its odd multiples lie 2q apart), so all of
     them are cleared by one fancy-index assignment.  int64 cannot overflow:
     q < 2^25 and every multiple formed is at most max(q^2, seg_lo + 2q) < 2^51.
     """
-    base = _odd_base_primes(isqrt(hi - 1))
+    root = isqrt(hi - 1)
+    base = _primes(3, root + 1, SEGMENT_ODDS) if root >= 3 else np.empty(0, np.int64)
     seg_lo = max(lo, 3) | 1  # first odd >= max(lo, 3)
     while seg_lo < hi:
         seg_hi = min(seg_lo + 2 * segment_odds, hi)
@@ -116,18 +88,23 @@ def _segments(lo: int, hi: int, segment_odds: int):
         seg_lo = seg_hi | 1
 
 
-def primes_in(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
-    """All primes in [lo, hi) as an ascending int64 array.
-
-    Segmented, odd-only sieve; see ``_segments`` for the clearing scheme.
-    """
-    _check_range(lo, hi)
+def _primes(lo: int, hi: int, segment_odds: int) -> np.ndarray:
+    """``primes_in`` without the range check, for callers inside the engine."""
     chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
     for seg_lo, buf in _segments(lo, hi, segment_odds):
         chunks.append(seg_lo + 2 * np.flatnonzero(buf).astype(np.int64))
     if not chunks:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(chunks)
+
+
+def primes_in(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
+    """All primes in [lo, hi) as an ascending int64 array.
+
+    Segmented, odd-only sieve; see ``_segments`` for the clearing scheme.
+    """
+    _check_range(lo, hi)
+    return _primes(lo, hi, segment_odds)
 
 
 def count_primes(lo: int, hi: int) -> int:
@@ -139,11 +116,6 @@ def count_primes(lo: int, hi: int) -> int:
     _check_range(lo, hi)
     return int(lo <= 2) + sum(
         int(np.count_nonzero(buf)) for _, buf in _segments(lo, hi, SEGMENT_ODDS))
-
-
-def sieve_range(lo: int, hi: int) -> PrimeRange:
-    """Exactly the primes in [lo, hi), packaged with their window."""
-    return PrimeRange(lo=lo, hi=hi, primes=primes_in(lo, hi))
 
 
 def prime_count(x: int) -> int:

@@ -122,6 +122,13 @@ def test_split_window_matches_whole_table(capsys, lo, hi):
     assert (code, out) == _split_window_by_table(lo, hi)
 
 
+def test_split_single_theta_matches_window(capsys):
+    _, single, _ = run_cli(capsys, "split", "--p", "673", "--format", "csv")
+    _, window, _ = run_cli(capsys, "split", "--lo", "673", "--hi", "674",
+                           "--format", "csv")
+    assert single == window  # theta included, to the last bit
+
+
 def test_split_flag_conflict(capsys):
     code, _, err = run_cli(capsys, "split")
     assert code == 1
@@ -271,6 +278,33 @@ def test_usage_error_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["primes", "--hi=" + bad])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("equidist", "--set", "peps", "--eps", "5", "--x", "1000"), "eps must lie in (0, 1]"),
+    (("equidist", "--set", "peps", "--eps", "0", "--x", "1000"), "eps must lie in (0, 1]"),
+    (("equidist", "--set", "peps", "--eps", "nan", "--x", "1000"), "eps must lie in (0, 1]"),
+    (("gap-scan", "--records", "-1", "--x", "200"), "n_records"),
+    (("sieve-opt", "--k", "1000", "--degree", "4"), "beyond the float reduction"),
+])
+def test_bad_parameters_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve-trace", "--curve", "1,99999999999999999999999,1,3,3", "--p", "7"),
+    ("curve-trace", "--curve", "1,99999999999999999999999,1,3,3", "--lo", "2", "--hi", "60"),
+    ("curve-trace", "--curve", "99999999999999999999999,1,1,3,3", "--lo", "2", "--hi", "60"),
+    ("equidist", "--set", "curve", "--curve", "1,99999999999999999999999,1,3,3",
+     "--x", "100"),
+])
+def test_huge_curve_coefficients(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out
 
 
 def test_bad_threads_rejected(capsys):

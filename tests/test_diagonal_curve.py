@@ -10,6 +10,7 @@ from heckegaps.diagonal_curve import (
     count_affine_charsum,
     count_affine_naive,
     curve_new,
+    curve_primes,
     eps_interval,
     in_P_CI,
     load_trace_cache,
@@ -120,10 +121,35 @@ def test_trace_checks_primality_once(monkeypatch):
     monkeypatch.setattr(diagonal_curve, "is_prime", counting)
     assert trace(CUBIC, 10009).p == 10009
     assert calls == [10009]
+    calls.clear()
+    assert trace(CUBIC, 13, backend="charsum").p == 13
+    assert calls == [13]
+    calls.clear()
+    assert in_P_CI(CUBIC, 13, (-1.0, 1.0))
+    assert calls == [13]
     # called directly, each counter still validates its prime
     for fn in (nd, count_affine_naive, count_affine_charsum):
         with pytest.raises(ValueError):
             fn(CUBIC, 10011)  # 3 * 47 * 71
+
+
+@pytest.mark.parametrize("M", [4, 6, 10, 12, 15, 16, 240])
+def test_ramanujan_sums_are_traces(M):
+    # c_M(k) = sum over primitive M-th roots z of z^k, a real integer
+    from heckegaps.diagonal_curve import _ramanujan_sums
+
+    units = [j for j in range(M) if math.gcd(j, M) == 1]
+    for k, c in enumerate(_ramanujan_sums(M)):
+        assert c == round(sum(math.cos(2 * math.pi * j * k / M) for j in units))
+
+
+def test_huge_coefficients_reduce_mod_p():
+    # b = 1 mod 7 but far beyond int64: the same curve over F_7
+    huge = curve_new(1, 1 + 7 * 10**30, 1, 3, 3)
+    for backend in ("naive", "charsum"):
+        assert (trace(huge, 7, backend=backend).affine_count
+                == trace(CUBIC, 7, backend=backend).affine_count)
+    assert curve_primes(huge, primes_in(2, 60)) == curve_primes(CUBIC, primes_in(2, 60))
 
 
 @pytest.mark.parametrize("curve", [CUBIC, QUARTIC, HYPER, TWISTED])

@@ -34,6 +34,8 @@ def test_record_gaps_sorted_by_gap_then_position():
 def test_record_gaps_input_checked():
     with pytest.raises(ValueError):
         record_gaps(all_primes_set(), 99)
+    with pytest.raises(ValueError):
+        record_gaps(all_primes_set(), 200, n_records=-1)
 
 
 def test_scan_tuple_tiny_frozen():

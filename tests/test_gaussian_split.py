@@ -88,11 +88,13 @@ def test_canonical_split_invariants(p):
     assert (abs(s.a), s.b) == (oa, ob)
 
 
-@given(st.sampled_from(SPLIT_PRIMES_BELOW_1000))
-def test_theta_matches_scalar_angle(p):
-    s = canonical_split(p)
-    assert hecke_angle(s) == s.theta
-    assert theta_of(np.array([s.a]), np.array([s.b]))[0] == pytest.approx(s.theta)
+def test_theta_matches_scalar_angle():
+    # the scalar split and the bulk angle are one formula: equal to the bit
+    p, a, b = split_range(2, 100_000)
+    bulk = theta_of(a, b)
+    for i in range(p.size):
+        s = canonical_split(int(p[i]))
+        assert hecke_angle(s) == s.theta == bulk[i]
 
 
 def test_hecke_angle_rejects_other_discriminants():

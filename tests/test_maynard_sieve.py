@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,13 @@ def test_optimizer_rejects_bad_inputs():
         optimize_Mk(1, 2)
     with pytest.raises(ValueError):
         optimize_Mk(5, -1)
+    # undoing the unit-diagonal scaling needs 1/sqrt(I_ii), past float range
+    # here: an error, not an overflow, a numpy warning or a wrong number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, degree in ((1000, 4), (300, 11)):
+            with pytest.raises(ValueError, match="beyond the float reduction"):
+                optimize_Mk(k, degree)
 
 
 def test_dhl_m_frozen():

@@ -1,16 +1,13 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckegaps.prime_engine import (
     SEGMENT_ODDS,
-    PrimeRange,
     count_primes,
     is_prime,
     prime_count,
     primes_in,
-    sieve_range,
 )
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -105,14 +102,6 @@ def test_is_prime_known_hard_cases():
     assert is_prime(10**9 + 7)
     assert is_prime(10**9 + 9)
 
-
-def test_sieve_range_container():
-    pr = sieve_range(10, 30)
-    assert isinstance(pr, PrimeRange)
-    assert (pr.lo, pr.hi) == (10, 30)
-    assert len(pr) == 6
-    assert list(pr) == [11, 13, 17, 19, 23, 29]
-    assert pr.primes.dtype == np.int64
 
 
 def test_segment_boundaries_consistent():
