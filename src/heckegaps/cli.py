@@ -27,7 +27,6 @@ from .diagonal_curve import (
     curve_new,
     curve_primes,
     eps_interval,
-    trace,
 )
 from .equidist_stats import (
     SetSpec,
@@ -90,10 +89,9 @@ def _curve_arg(s: str) -> CurveSpec:
     if len(parts) != 5:
         raise argparse.ArgumentTypeError(f"expected 'a,b,c,alpha,beta', got {s!r}")
     try:
-        a, b, c, alpha, beta = (int(t) for t in parts)
+        return curve_new(*(int(t) for t in parts))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
-    return curve_new(a, b, c, alpha, beta)
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -132,7 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_num, default=None)
     p.add_argument("--lo", type=_num, default=None)
     p.add_argument("--hi", type=_num, default=None)
-    p.add_argument("--backend", choices=("naive", "charsum"), default="naive")
+    p.add_argument("--backend", choices=("naive", "charsum"), default=None,
+                   help="point counter: naive (the Theta(p) table convolution, "
+                   "the oracle) or charsum (Jacobi sums); by default the "
+                   "O(log p) closed form for M in {3, 4} (Ireland-Rosen ch. 9, "
+                   "Weil 1952) and the naive count otherwise; primes already "
+                   "in --cache are read back, not recounted")
     p.add_argument("--cache", default=None, help="trace cache file to read/extend")
     _add_common(p)
 
@@ -268,21 +271,14 @@ def _cmd_split(args) -> None:
 
 def _cmd_curve_trace(args) -> None:
     curve = args.curve
-    store = TraceStore(curve, args.cache)
+    store = TraceStore(curve, args.cache, args.backend)
     if args.p is not None:
         ps = [args.p]
     elif args.lo is not None and args.hi is not None:
         ps = curve_primes(curve, primes_in(args.lo, args.hi))
     else:
         raise ValueError("give either --p or both --lo and --hi")
-    rows = []
-    for q in ps:
-        if args.backend == "naive":
-            rec = store.get(q)
-        else:
-            rec = trace(curve, q, backend="charsum")
-            store.records[rec.p] = rec
-        rows.append(rec)
+    rows = [store.get(q) for q in ps]
     if args.cache:
         store.save()
     if args.format == "json":

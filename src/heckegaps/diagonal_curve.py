@@ -12,14 +12,25 @@ That affine convention is fixed here throughout; assertions against the
 2g*sqrt(p) Hasse bound therefore carry a slack of 1 to absorb the
 point-at-infinity bookkeeping of other conventions.
 
-Two independent counting backends are provided and must agree exactly: a
-value-table convolution over F_p (``count_affine_naive``) and an exact
-Jacobi-sum accumulation over discrete-log residue classes
-(``count_affine_charsum``).  The character-sum backend avoids floating-point
-roots of unity entirely: its total sum_k n_k zeta_M^k is a rational integer,
-so it equals its trace over Q divided by phi(M), and the trace of zeta_M^k is
-the Ramanujan sum c_M(k) (Hardy & Wright, ch. XVI).  Everything is integer
-arithmetic.
+The affine count is a sum of Jacobi sums of characters of order M.  Three
+exact ways to evaluate it are provided, and they must agree:
+
+* ``count_affine_naive``: a value-table convolution over F_p, Theta(p).  It
+  is the oracle.
+* The closed form for the CM curves, M in {3, 4}, i.e. exponents (3, 3),
+  (4, 2) and (4, 4): J(chi, chi) is the primary prime of Z[omega] or Z[i]
+  above p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73, 1952;
+  Ireland & Rosen, *A Classical Introduction to Modern Number Theory*,
+  ch. 9).  The prime comes from Cornacchia's descent and every character
+  value from one modular power, so a trace costs O(log p) and has no p limit.
+* ``count_affine_charsum`` for every other M: an exact Jacobi-sum
+  accumulation over a discrete-log table, Theta(p).  Its total
+  sum_k n_k zeta_M^k is a rational integer, so it equals its trace over Q
+  divided by phi(M), and the trace of zeta_M^k is the Ramanujan sum c_M(k)
+  (Hardy & Wright, ch. XVI).
+
+Everything is integer arithmetic.  ``trace`` uses the closed form where it
+applies and the naive count elsewhere, unless a backend is named.
 """
 
 from __future__ import annotations
@@ -31,11 +42,13 @@ from typing import Iterable
 
 import numpy as np
 
+from .gaussian_split import _cornacchia
 from .prime_engine import is_prime
 
 log = logging.getLogger(__name__)
 
 NAIVE_LIMIT = 10**7  # O(p) memory and time; keep desk-scale
+_CM_MODULI = (3, 4)  # M with a closed-form count
 
 
 class CacheFormatError(ValueError):
@@ -221,12 +234,95 @@ def _ramanujan_sums(M: int) -> list[int]:
     return [sum(d * mu(M // d) for d in divs if k % d == 0) for k in range(M)]
 
 
+# Z[zeta_M] for M in (3, 4) as integer pairs (x, y) = x + y zeta, where
+# zeta = omega (omega^2 = -1 - omega) or i.  _ROOTS[M][k] is zeta^k.
+_ROOTS = {3: ((1, 0), (0, 1), (-1, -1)), 4: ((1, 0), (0, 1), (-1, 0), (0, -1))}
+
+
+def _zmul(M: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    (x1, y1), (x2, y2) = u, v
+    if M == 3:
+        return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1 - y1 * y2)
+    return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1)
+
+
+def _zconj(M: int, u: tuple[int, int]) -> tuple[int, int]:
+    x, y = u
+    return (x - y, -y) if M == 3 else (x, -y)
+
+
+def _primary(M: int, u: tuple[int, int]) -> bool:
+    """pi = 2 mod 3 in Z[omega]; pi = 1 mod 2 + 2i in Z[i] (Ireland-Rosen ch. 9)."""
+    m, n = u
+    if M == 3:
+        return m % 3 == 2 and n % 3 == 0
+    return m % 2 == 1 and n % 2 == 0 and (m + n) % 4 == 1
+
+
+def _count_affine_cm(curve: CurveSpec, p: int) -> int:
+    """Affine count for M in (3, 4) in O(log p), from the prime above p.
+
+    With chi the M-th power residue symbol mod the primary prime pi above p,
+
+        N = sum_{j < alpha, l < beta} chi^{-sa j}(a/c) chi^{-sb l}(b/c)
+                J(chi^{sa j}, chi^{sb l}),    sa = M/alpha, sb = M/beta,
+
+    and every Jacobi sum comes from one table: J(e, e) = p, J(e, chi^v) = 0,
+    J(chi^u, chi^-u) = -chi^u(-1), J(chi, chi) = pi (M = 3) or -chi(-1) pi
+    (M = 4), J(chi, chi^2) = chi(4) J(chi, chi), conjugates for the rest.
+    """
+    M = curve.M
+    zeta = _ROOTS[M]
+    u, v = _cornacchia(p, 3 if M == 3 else 1)  # u^2 + D v^2 = p
+    # u + v sqrt(-3) = (u + v) + 2v omega; u + v i as it stands
+    pi = (u + v, 2 * v) if M == 3 else (u, v)
+    units = [(s * x, s * y) for x, y in zeta for s in (1, -1)]
+    pi = next(w for w in (_zmul(M, e, pi) for e in units) if _primary(M, w))
+    m, n = pi
+    # Z[zeta] / pi = F_p sends zeta to r, so chi(t) = zeta^k iff t^((p-1)/M) = r^k
+    r = -m * pow(n, -1, p) % p
+    powers = [pow(r, k, p) for k in range(M)]
+
+    def ind(t: int) -> int:
+        return powers.index(pow(t % p, (p - 1) // M, p))
+
+    neg1 = ind(-1)  # chi(-1) = zeta^neg1
+    j11 = pi if M == 3 else _zmul(M, zeta[(neg1 + 2) % 4], pi)  # -1 = i^2
+    j12 = _zmul(M, zeta[ind(4)], j11)  # used for M = 4 only
+
+    def jacobi(s: int, t: int) -> tuple[int, int]:
+        s, t = s % M, t % M
+        if s == 0 or t == 0:
+            return (p, 0) if s == t else (0, 0)
+        if (s + t) % M == 0:
+            x, y = zeta[s * neg1 % M]
+            return (-x, -y)
+        if s == t:
+            return j11 if s == 1 else _zconj(M, j11)
+        return j12 if 1 in (s, t) else _zconj(M, j12)
+
+    sa, sb = M // curve.alpha, M // curve.beta
+    cinv = pow(curve.c, -1, p)
+    ea, eb = ind(curve.a * cinv), ind(curve.b * cinv)
+    x = y = 0
+    for j in range(curve.alpha):
+        for l in range(curve.beta):
+            tx, ty = _zmul(M, zeta[-(sa * j * ea + sb * l * eb) % M], jacobi(sa * j, sb * l))
+            x += tx
+            y += ty
+    if y:
+        raise RuntimeError("Jacobi-sum total is not a rational integer")
+    return x
+
+
 def count_affine_charsum(curve: CurveSpec, p: int) -> int:
     """Exact affine count via Jacobi sums; must equal the naive backend.
 
-    Requires p = 1 mod M (other primes fall back to the naive count).  Writing
-    chi and psi for characters of orders alpha and beta realized through the
-    smallest primitive root, the count decomposes as
+    Requires p = 1 mod M (other primes fall back to the naive count).  For
+    M in (3, 4) the closed form of the module docstring gives the count in
+    O(log p).  For every other M, writing chi and psi for characters of
+    orders alpha and beta realized through the smallest primitive root, the
+    count decomposes as
 
         N = A(c) + B(c) + sum_{j < alpha, l < beta}
                 chi^j(c/a) psi^l(c/b) J(chi^j, psi^l),
@@ -237,7 +333,7 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
     S = sum_k n_k zeta_M^k.  S = N - A(c) - B(c) is a rational integer, hence
     equal to its trace over Q divided by phi(M); the trace of zeta_M^k is the
     Ramanujan sum c_M(k), so S = sum_k n_k c_M(k) / phi(M) exactly, in
-    integers.
+    integers.  This path builds a discrete-log table: Theta(p) time and memory.
     """
     if p % curve.M != 1:
         return count_affine_naive(curve, p)
@@ -247,6 +343,8 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
 
 def _count_affine_charsum(curve: CurveSpec, p: int) -> int:
     M = curve.M
+    if M in _CM_MODULI:
+        return _count_affine_cm(curve, p)
     g = _primitive_root(p)
     ind = _dlog_table(p, g)
     ca = curve.c % p * pow(curve.a, -1, p) % p
@@ -273,22 +371,29 @@ def _count_affine_charsum(curve: CurveSpec, p: int) -> int:
     return A_c + B_c + S
 
 
-def trace(curve: CurveSpec, p: int, backend: str = "naive") -> TraceRecord:
-    """TraceRecord for p = 1 mod M; normalized = trace / (2 g sqrt(p))."""
+def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
+    """TraceRecord for p = 1 mod M; normalized = trace / (2 g sqrt(p)).
+
+    backend None counts with the closed form for M in (3, 4), at any p, and
+    with the naive count otherwise; "naive" and "charsum" name one backend.
+    The naive count raises beyond NAIVE_LIMIT.
+    """
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
     _check_p(curve, p)  # the only check: the counters below assume it
     return _trace(curve, p, backend)
 
 
-def _trace(curve: CurveSpec, p: int, backend: str) -> TraceRecord:
-    if backend == "naive":
-        affine = _count_affine_naive(curve, p)
+def _trace(curve: CurveSpec, p: int, backend: str | None) -> TraceRecord:
+    if backend is None:
+        count = _count_affine_cm if curve.M in _CM_MODULI else _count_affine_naive
+    elif backend == "naive":
+        count = _count_affine_naive
     elif backend == "charsum":
-        affine = _count_affine_charsum(curve, p)
+        count = _count_affine_charsum
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return _record(curve, p, _nd(curve, p), affine)
+    return _record(curve, p, _nd(curve, p), count(curve, p))
 
 
 def _record(curve: CurveSpec, p: int, n_d: int, affine: int) -> TraceRecord:
@@ -308,7 +413,7 @@ def in_P_CI(curve: CurveSpec, p: int, interval: tuple[float, float]) -> bool:
         raise ValueError("interval must satisfy -1 <= lo <= hi <= 1")
     if p < 2 or not is_prime(p) or not curve_primes(curve, [p]):
         return False
-    return lo <= _trace(curve, p, "naive").normalized <= hi
+    return lo <= _trace(curve, p, None).normalized <= hi
 
 
 def eps_interval(curve: CurveSpec, eps: float) -> tuple[float, float]:
@@ -371,13 +476,16 @@ def load_trace_cache(path, curve: CurveSpec) -> list[TraceRecord]:
 class TraceStore:
     """Memoized traces for one curve, optionally file-backed.
 
-    Misses are computed with the naive backend and logged at debug level so a
-    long scan can be resumed from the persisted cache.
+    Misses are computed with ``trace(curve, p, backend)``: by default the
+    O(log p) closed form for M in (3, 4) and the naive count otherwise.  They
+    are logged at debug level so a long scan can be resumed from the persisted
+    cache.
     """
 
-    def __init__(self, curve: CurveSpec, path=None):
+    def __init__(self, curve: CurveSpec, path=None, backend: str | None = None):
         self.curve = curve
         self.path = path
+        self.backend = backend
         self.records: dict[int, TraceRecord] = {}
         if path is not None:
             try:
@@ -389,7 +497,7 @@ class TraceStore:
         r = self.records.get(p)
         if r is None:
             log.debug("trace cache miss: curve %s p=%d", _header(self.curve), p)
-            r = trace(self.curve, p)
+            r = trace(self.curve, p, self.backend)
             self.records[p] = r
         return r
 

@@ -85,6 +85,11 @@ def cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
         raise ValueError("D must lie in [1, 163]")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _cornacchia(p, D)
+
+
+def _cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
+    """``cornacchia`` for a prime p and 1 <= D <= 163 the caller has checked."""
     if p == 2 or p <= D:
         # tiny or degenerate cases: exhaustive over b
         b = 1

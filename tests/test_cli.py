@@ -5,6 +5,7 @@ import pytest
 
 from heckegaps import diagonal_curve
 from heckegaps.cli import main
+from heckegaps.prime_engine import primes_in
 
 
 def run_cli(capsys, *argv):
@@ -174,21 +175,75 @@ def test_equidist_ks_json(capsys):
     assert got["n"] == 609
 
 
-def test_equidist_curve_traces_each_prime_once(capsys, monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Record the p of every call to the counter ``diagonal_curve.<name>``."""
     calls = []
-    count = diagonal_curve._count_affine_naive
+    count = getattr(diagonal_curve, name)
 
     def counting(curve, p):
         calls.append(p)
         return count(curve, p)
 
-    monkeypatch.setattr(diagonal_curve, "_count_affine_naive", counting)
+    monkeypatch.setattr(diagonal_curve, name, counting)
+    return calls
+
+
+def test_equidist_curve_traces_each_prime_once(capsys, monkeypatch):
+    # a CM curve: the closed form counts every prime, the naive count none
+    calls = _count_calls(monkeypatch, "_count_affine_cm")
+    naive = _count_calls(monkeypatch, "_count_affine_naive")
     code, out, _ = run_cli(capsys, "equidist", "--set", "curve", "--curve",
                            "1,1,1,3,3", "--x", "2000", "--format", "json")
     assert code == 0
     n = json.loads(out)["n"]
     assert n > 0
     assert len(calls) == len(set(calls)) == n
+    assert naive == []
+
+
+def test_naive_backend_stays_the_oracle(tmp_path, capsys, monkeypatch):
+    # `--backend naive` on a CM curve convolves for every prime it computes
+    calls = _count_calls(monkeypatch, "_count_affine_naive")
+    cache = str(tmp_path / "c.csv")
+
+    def run(hi):
+        code, _, _ = run_cli(capsys, "curve-trace", "--curve", "1,1,1,3,3", "--lo", "2",
+                             "--hi", hi, "--backend", "naive", "--cache", cache)
+        assert code == 0
+
+    def cubic_primes(lo, hi):
+        return [int(p) for p in primes_in(lo, hi) if p % 3 == 1]
+
+    run("400")
+    assert calls == cubic_primes(2, 400)
+    calls.clear()
+    run("1000")  # the cached primes are read back, the rest counted once
+    assert calls == cubic_primes(400, 1000)
+
+
+CRITERION_4_CURVES = ["1,1,1,3,3", "1,1,1,4,2", "1,-1,-1,5,2", "1,2,1,3,3"]
+
+
+@pytest.mark.parametrize("curve", CRITERION_4_CURVES)
+def test_curve_trace_backends_byte_identical(capsys, curve):
+    argv = ["curve-trace", "--curve", curve, "--lo", "2", "--hi", "30000"]
+    outs = []
+    for extra in ([], ["--backend", "naive"], ["--backend", "charsum"]):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("curve", ["1,1,1,3,3", "1,1,1,4,2"])
+def test_curve_trace_beyond_naive_limit(capsys, curve):
+    argv = ("curve-trace", "--curve", curve, "--p", "10000141")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("10000141,")
+    code, out, err = run_cli(capsys, *argv, "--backend", "naive")
+    assert (code, out) == (1, "")
+    assert "beyond the O(p) counting limit" in err
 
 
 def test_equidist_et(capsys):
@@ -278,6 +333,15 @@ def test_usage_error_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["primes", "--hi=" + bad])
         assert exc.value.code == 2
+    # curve_new's reason reaches the user
+    capsys.readouterr()
+    for spec, reason in (("0,1,1,3,3", "coefficients a, b, c must be nonzero"),
+                         ("1,1,1,17,3", "alpha capped at 16")):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve-trace", "--curve", spec, "--p", "7"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --curve: {reason}" in err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckegaps.diagonal_curve import (
+    NAIVE_LIMIT,
     CacheFormatError,
     TraceStore,
     count_affine_charsum,
@@ -18,7 +20,7 @@ from heckegaps.diagonal_curve import (
     save_trace_cache,
     trace,
 )
-from heckegaps.prime_engine import primes_in
+from heckegaps.prime_engine import is_prime, primes_in
 
 # the five standing examples used throughout the tests
 CIRCLE = curve_new(1, 1, 1, 2, 2)          # x^2 + y^2 = 1
@@ -109,7 +111,7 @@ def test_trace_rejects_bad_primes():
 
 
 def test_trace_checks_primality_once(monkeypatch):
-    from heckegaps import diagonal_curve
+    from heckegaps import diagonal_curve, gaussian_split
 
     calls = []
     check = diagonal_curve.is_prime
@@ -119,11 +121,18 @@ def test_trace_checks_primality_once(monkeypatch):
         return check(n)
 
     monkeypatch.setattr(diagonal_curve, "is_prime", counting)
-    assert trace(CUBIC, 10009).p == 10009
+    # the closed form takes its prime above p from the unchecked descent
+    monkeypatch.setattr(gaussian_split, "is_prime", counting)
+    assert trace(CUBIC, 10009, backend="naive").p == 10009
     assert calls == [10009]
+    for curve in (CUBIC, QUARTIC):
+        for backend in (None, "charsum"):
+            calls.clear()
+            assert trace(curve, 10009, backend).p == 10009
+            assert calls == [10009]
     calls.clear()
-    assert trace(CUBIC, 13, backend="charsum").p == 13
-    assert calls == [13]
+    assert trace(HYPER, 11, backend="charsum").p == 11  # M = 10: the discrete-log path
+    assert calls == [11]
     calls.clear()
     assert in_P_CI(CUBIC, 13, (-1.0, 1.0))
     assert calls == [13]
@@ -184,6 +193,71 @@ def test_charsum_matches_naive_spot(curve):
         assert count_affine_charsum(curve, p) == count_affine_naive(curve, p)
         checked += 1
     assert checked > 5
+
+
+CM_PAIRS = [(3, 3), (4, 2), (4, 4)]
+_CM_PRIMES = [int(p) for p in primes_in(5, 200_000) if p % 12 in (1, 5, 7)]
+_COEFF = st.one_of(
+    st.integers(-60, 60),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+).filter(lambda v: v != 0)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.sampled_from(CM_PAIRS), _COEFF, _COEFF, _COEFF, st.sampled_from(_CM_PRIMES))
+def test_cm_closed_form_matches_both_backends(pair, a, b, c, p):
+    curve = curve_new(a, b, c, *pair)
+    assume(p % curve.M == 1 and (a * b * c) % p)
+    want = count_affine_naive(curve, p)
+    assert trace(curve, p).affine_count == want
+    assert trace(curve, p, backend="charsum").affine_count == want
+
+
+@pytest.mark.parametrize("coeffs,p", [
+    ((3, -5, 7, 3, 3), 9999973),
+    ((1, 1, 1, 4, 2), 9999937),
+    ((2, 1, -1, 4, 4), 9999901),
+])
+def test_cm_closed_form_below_naive_limit(coeffs, p):
+    curve = curve_new(*coeffs)
+    assert p < NAIVE_LIMIT and is_prime(p) and p % curve.M == 1
+    want = count_affine_naive(curve, p)
+    assert trace(curve, p).affine_count == want
+    assert trace(curve, p, backend="charsum").affine_count == want
+
+
+def _gauss_cubic_trace(p):
+    """-L with 4p = L^2 + 27 m^2 and L = 1 mod 3, by a numpy search over m."""
+    m = np.arange(1, math.isqrt(4 * p // 27) + 1, dtype=np.int64)
+    r = 4 * p - 27 * m * m
+    s = np.sqrt(r.astype(np.float64)).round().astype(np.int64)
+    (hit,) = np.flatnonzero(s * s == r)[:1]
+    L = int(s[hit])
+    return -(L if L % 3 == 1 else -L)
+
+
+def _quartic_trace(p):
+    """(-1)^((p-1)/4) 2a with p = a^2 + b^2, a = 1 mod 4, by a search over b."""
+    b = np.arange(2, math.isqrt(p) + 1, 2, dtype=np.int64)
+    r = p - b * b
+    s = np.sqrt(r.astype(np.float64)).round().astype(np.int64)
+    (hit,) = np.flatnonzero(s * s == r)[:1]
+    a = int(s[hit])
+    return (-1) ** ((p - 1) // 4) * 2 * (a if a % 4 == 1 else -a)
+
+
+@pytest.mark.parametrize("p", [10**12 + 39, 10**12 + 61, 999999999877])
+def test_cm_traces_beyond_naive_limit(p):
+    assert is_prime(p) and p > NAIVE_LIMIT
+    for curve, formula in ((CUBIC, _gauss_cubic_trace), (QUARTIC, _quartic_trace)):
+        if p % curve.M != 1:
+            continue
+        want = formula(p)
+        assert trace(curve, p).trace == want
+        assert trace(curve, p, backend="charsum").trace == want
+        with pytest.raises(ValueError, match="beyond the O\\(p\\) counting limit"):
+            trace(curve, p, backend="naive")
 
 
 def test_eps_interval():
