@@ -12,33 +12,36 @@ That affine convention is fixed here throughout; assertions against the
 2g*sqrt(p) Hasse bound therefore carry a slack of 1 to absorb the
 point-at-infinity bookkeeping of other conventions.
 
-The affine count is a sum of Jacobi sums of characters of order M.  Three
-exact ways to evaluate it are provided, and they must agree:
+The affine count is one sum of Jacobi sums over the characters chi, psi of
+orders dividing alpha and beta (Ireland & Rosen, *A Classical Introduction
+to Modern Number Theory*, ch. 8):
 
-* ``count_affine_naive``: a value-table convolution over F_p, Theta(p).  It
-  is the oracle.
-* The closed form for the CM curves, M in {3, 4}, i.e. exponents (3, 3),
-  (4, 2) and (4, 4): J(chi, chi) is the primary prime of Z[omega] or Z[i]
-  above p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73, 1952;
-  Ireland & Rosen, *A Classical Introduction to Modern Number Theory*,
-  ch. 9).  The prime comes from Cornacchia's descent and every character
-  value from one modular power, so a trace costs O(log p) and has no p limit.
-* ``count_affine_charsum`` for every other M: an exact Jacobi-sum
-  accumulation over a discrete-log table, Theta(p).  Its total
-  sum_k n_k zeta_M^k is a rational integer, so it equals its trace over Q
-  divided by phi(M), and the trace of zeta_M^k is the Ramanujan sum c_M(k)
-  (Hardy & Wright, ch. XVI).
+    N = sum_{chi, psi} chi(c/a) psi(c/b) J(chi, psi).
 
-Everything is integer arithmetic.  ``trace`` uses the closed form where it
-applies and the naive count elsewhere, unless a backend is named.
+One accumulation evaluates it for every M, asking a source only for the J
+with chi, psi and chi psi all nontrivial.  There are two sources:
+
+* M in {3, 4}: J(chi, chi) is the primary prime of Z[omega] or Z[i] above
+  p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73, 1952;
+  Ireland & Rosen ch. 9), found by Cornacchia's descent: O(log p), any p.
+* every other M: one bincount per J over a discrete-log table, Theta(p).
+
+The total is a rational integer in Z[zeta_M], so it is its trace over Q, a
+sum of Ramanujan sums c_M(k) (Hardy & Wright, ch. XVI), divided by phi(M).
+``count_affine_naive``, a value-table convolution over F_p, is the oracle
+that the formula must match.
+
+Everything is integer arithmetic.  ``trace`` uses the O(log p) source where
+it applies and the naive count elsewhere, unless a backend is named.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, sqrt
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -49,6 +52,7 @@ log = logging.getLogger(__name__)
 
 NAIVE_LIMIT = 10**7  # O(p) memory and time; keep desk-scale
 _CM_MODULI = (3, 4)  # M with a closed-form count
+_Jacobi = Callable[[int, int], list[int]]  # (s, t) -> J(chi^s, chi^t) on 1, zeta, ...
 
 
 class CacheFormatError(ValueError):
@@ -137,17 +141,25 @@ def _nd(curve: CurveSpec, p: int) -> int:
     return curve.d if pow(t, (p - 1) // curve.d, p) == 1 else 0
 
 
+def _check_table_size(p: int) -> None:
+    """Refuse a Theta(p) table beyond NAIVE_LIMIT, before allocating it."""
+    if p > NAIVE_LIMIT:
+        raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
+
+
 def _pow_table(p: int, e: int) -> np.ndarray:
-    """x^e mod p for all x in [0, p), square-and-multiply on int64."""
-    x = np.arange(p, dtype=np.int64)
+    """x^e mod p for all x in [0, p), square-and-multiply on int64 in place."""
     out = np.ones(p, dtype=np.int64)
-    base = x
-    while e:
+    base = np.arange(p, dtype=np.int64)
+    while True:
         if e & 1:
-            out = out * base % p
-        base = base * base % p
+            out *= base
+            out %= p
         e >>= 1
-    return out
+        if not e:
+            return out
+        base *= base
+        base %= p
 
 
 def count_affine_naive(curve: CurveSpec, p: int) -> int:
@@ -161,13 +173,17 @@ def count_affine_naive(curve: CurveSpec, p: int) -> int:
 
 
 def _count_affine_naive(curve: CurveSpec, p: int) -> int:
-    if p > NAIVE_LIMIT:
-        raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
-    lhs = curve.a % p * _pow_table(p, curve.alpha) % p
-    rhs = (curve.c % p - curve.b % p * _pow_table(p, curve.beta)) % p
-    cnt1 = np.bincount(lhs, minlength=p)
-    cnt2 = np.bincount(rhs, minlength=p)
-    return int(cnt1 @ cnt2)
+    _check_table_size(p)
+    lhs = _pow_table(p, curve.alpha)
+    lhs *= curve.a % p
+    lhs %= p
+    n_lhs = np.bincount(lhs, minlength=p)
+    del lhs  # one side's value table at a time bounds the peak memory
+    rhs = _pow_table(p, curve.beta)
+    rhs *= -curve.b % p
+    rhs += curve.c % p
+    rhs %= p
+    return int(n_lhs @ np.bincount(rhs, minlength=p))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -196,9 +212,9 @@ def _primitive_root(p: int) -> int:
     raise RuntimeError("no primitive root found")  # unreachable for prime p
 
 
-def _dlog_table(p: int, g: int) -> np.ndarray:
-    """ind[v] = k with g^k = v mod p (ind[0] = -1), via sqrt(p) blocks."""
-    ind = np.full(p, -1, dtype=np.int64)
+def _dlog_table(p: int, g: int, M: int) -> np.ndarray:
+    """ind[v] = k mod M with g^k = v mod p (ind[0] unused), via sqrt(p) blocks."""
+    ind = np.zeros(p, dtype=np.int32)
     pows = np.empty(p - 1, dtype=np.int64)
     B = max(1, isqrt(p - 1))
     small = np.empty(B, dtype=np.int64)
@@ -214,11 +230,12 @@ def _dlog_table(p: int, g: int) -> np.ndarray:
         pows[i : i + j] = small[:j] * big % p
         big = big * gB % p
         i += j
-    ind[pows] = np.arange(p - 1)
+    ind[pows] = np.arange(p - 1, dtype=np.int32) % M
     return ind
 
 
-def _ramanujan_sums(M: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _ramanujan_sums(M: int) -> tuple[int, ...]:
     """c_M(k) = sum_{d | gcd(k, M)} d mu(M/d) for k = 0..M-1.
 
     c_M(k) is the trace from Q(zeta_M) to Q of zeta_M^k; c_M(0) = phi(M).
@@ -231,109 +248,111 @@ def _ramanujan_sums(M: int) -> list[int]:
         return (-1) ** sum(n % q == 0 for q in qs)
 
     divs = [d for d in range(1, M + 1) if M % d == 0]
-    return [sum(d * mu(M // d) for d in divs if k % d == 0) for k in range(M)]
+    return tuple(sum(d * mu(M // d) for d in divs if k % d == 0) for k in range(M))
 
 
-# Z[zeta_M] for M in (3, 4) as integer pairs (x, y) = x + y zeta, where
-# zeta = omega (omega^2 = -1 - omega) or i.  _ROOTS[M][k] is zeta^k.
-_ROOTS = {3: ((1, 0), (0, 1), (-1, -1)), 4: ((1, 0), (0, 1), (-1, 0), (0, -1))}
+@lru_cache(maxsize=None)
+def _terms(M: int, alpha: int, beta: int) -> tuple[tuple[int, int], ...]:
+    """The (s, t) with chi^s and chi^t nontrivial of orders dividing alpha and
+    beta, for chi of order M: the Jacobi sums of one curve shape."""
+    sa, sb = M // alpha, M // beta
+    return tuple((s, t) for s in range(sa, M, sa) for t in range(sb, M, sb))
 
 
-def _zmul(M: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    (x1, y1), (x2, y2) = u, v
-    if M == 3:
-        return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1 - y1 * y2)
-    return (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1)
+def _conj(z: list[int]) -> list[int]:
+    """The complex conjugate of sum_k z[k] zeta^k: index k goes to -k mod M."""
+    return z[:1] + z[:0:-1]
 
 
-def _zconj(M: int, u: tuple[int, int]) -> tuple[int, int]:
-    x, y = u
-    return (x - y, -y) if M == 3 else (x, -y)
+def _jacobi_total(curve: CurveSpec, p: int, r: int, jacobi: _Jacobi) -> int:
+    """The affine count N of the module docstring, from r and a J source.
+
+    chi is one character of order M, chi(t) = zeta^k iff t^((p-1)/M) = r^k
+    mod p.  J(eps, eps) = p, J(eps, chi^v) = 0 and J(chi^u, chi^-u) =
+    -chi^u(-1) are fixed here; ``jacobi(s, t)`` gives J(chi^s, chi^t) for s,
+    t, s + t all nonzero mod M, as the length-M integer list of its
+    coefficients on 1, zeta, ..., zeta^(M-1).  Multiplying by zeta^k rotates
+    the list; the total's trace over Q, divided by phi(M), is N.
+    """
+    M = curve.M
+    e = (p - 1) // M
+    powers = [pow(r, k, p) for k in range(M)]
+
+    def ind(t: int) -> int:
+        return powers.index(pow(t, e, p))
+
+    ea = ind(curve.c * pow(curve.a, -1, p))
+    eb = ind(curve.c * pow(curve.b, -1, p))
+    neg1 = ind(p - 1)
+    total = [p] + [0] * (M - 1)
+    for s, t in _terms(M, curve.alpha, curve.beta):
+        k = (s * ea + t * eb) % M
+        if (s + t) % M:
+            z = jacobi(s, t)
+            total = [x + y for x, y in zip(total, z[-k:] + z[:-k])]
+        else:  # J(chi^s, chi^-s) = -chi^s(-1)
+            total[(k + s * neg1) % M] -= 1
+    cs = _ramanujan_sums(M)
+    N, rem = divmod(sum(n * c for n, c in zip(total, cs)), cs[0])
+    if rem:
+        raise RuntimeError("Jacobi-sum total is not a rational integer")
+    return N
 
 
-def _primary(M: int, u: tuple[int, int]) -> bool:
+def _primary(M: int, m: int, n: int) -> bool:
     """pi = 2 mod 3 in Z[omega]; pi = 1 mod 2 + 2i in Z[i] (Ireland-Rosen ch. 9)."""
-    m, n = u
     if M == 3:
         return m % 3 == 2 and n % 3 == 0
     return m % 2 == 1 and n % 2 == 0 and (m + n) % 4 == 1
 
 
-def _count_affine_cm(curve: CurveSpec, p: int) -> int:
-    """Affine count for M in (3, 4) in O(log p), from the prime above p.
+def _cm_source(M: int, p: int) -> tuple[int, _Jacobi]:
+    """r and J for M in (3, 4) from the primary prime pi = m + n zeta above p.
 
-    With chi the M-th power residue symbol mod the primary prime pi above p,
-
-        N = sum_{j < alpha, l < beta} chi^{-sa j}(a/c) chi^{-sb l}(b/c)
-                J(chi^{sa j}, chi^{sb l}),    sa = M/alpha, sb = M/beta,
-
-    and every Jacobi sum comes from one table: J(e, e) = p, J(e, chi^v) = 0,
-    J(chi^u, chi^-u) = -chi^u(-1), J(chi, chi) = pi (M = 3) or -chi(-1) pi
-    (M = 4), J(chi, chi^2) = chi(4) J(chi, chi), conjugates for the rest.
+    chi is the M-th power residue symbol mod pi, so zeta goes to r = -m/n
+    mod p.  J(chi, chi) = pi (M = 3) or -chi(-1) pi (M = 4), and
+    J(chi, chi^2) = chi(4) J(chi, chi) = -pi since chi(4) = chi(-1) = (2/p);
+    conjugates give the rest.
     """
-    M = curve.M
-    zeta = _ROOTS[M]
     u, v = _cornacchia(p, 3 if M == 3 else 1)  # u^2 + D v^2 = p
     # u + v sqrt(-3) = (u + v) + 2v omega; u + v i as it stands
-    pi = (u + v, 2 * v) if M == 3 else (u, v)
-    units = [(s * x, s * y) for x, y in zeta for s in (1, -1)]
-    pi = next(w for w in (_zmul(M, e, pi) for e in units) if _primary(M, w))
-    m, n = pi
-    # Z[zeta] / pi = F_p sends zeta to r, so chi(t) = zeta^k iff t^((p-1)/M) = r^k
-    r = -m * pow(n, -1, p) % p
-    powers = [pow(r, k, p) for k in range(M)]
+    m, n = (u + v, 2 * v) if M == 3 else (u, v)
+    while not _primary(M, m, n):
+        m, n = (n, n - m) if M == 3 else (-n, m)  # times the unit -omega or i
+    pi = [m, n] + [0] * (M - 2)
+    neg_pi = [-x for x in pi]
+    j11 = pi if M == 3 or p % 8 == 5 else neg_pi  # chi(-1) = -1 iff p = 5 mod 8
 
-    def ind(t: int) -> int:
-        return powers.index(pow(t % p, (p - 1) // M, p))
+    def jacobi(s: int, t: int) -> list[int]:
+        z = j11 if s == t else neg_pi
+        return z if 1 in (s, t) else _conj(z)
 
-    neg1 = ind(-1)  # chi(-1) = zeta^neg1
-    j11 = pi if M == 3 else _zmul(M, zeta[(neg1 + 2) % 4], pi)  # -1 = i^2
-    j12 = _zmul(M, zeta[ind(4)], j11)  # used for M = 4 only
+    return -m * pow(n, -1, p) % p, jacobi
 
-    def jacobi(s: int, t: int) -> tuple[int, int]:
-        s, t = s % M, t % M
-        if s == 0 or t == 0:
-            return (p, 0) if s == t else (0, 0)
-        if (s + t) % M == 0:
-            x, y = zeta[s * neg1 % M]
-            return (-x, -y)
-        if s == t:
-            return j11 if s == 1 else _zconj(M, j11)
-        return j12 if 1 in (s, t) else _zconj(M, j12)
 
-    sa, sb = M // curve.alpha, M // curve.beta
-    cinv = pow(curve.c, -1, p)
-    ea, eb = ind(curve.a * cinv), ind(curve.b * cinv)
-    x = y = 0
-    for j in range(curve.alpha):
-        for l in range(curve.beta):
-            tx, ty = _zmul(M, zeta[-(sa * j * ea + sb * l * eb) % M], jacobi(sa * j, sb * l))
-            x += tx
-            y += ty
-    if y:
-        raise RuntimeError("Jacobi-sum total is not a rational integer")
-    return x
+def _dlog_source(M: int, p: int) -> tuple[int, _Jacobi]:
+    """r and J for any M from a discrete-log table mod p: Theta(p).
+
+    chi(g) = zeta for the smallest primitive root g, so r = g^((p-1)/M), and
+    J(chi^s, chi^t) = sum_{w != 0, 1} chi^s(w) chi^t(1 - w) is one bincount.
+    """
+    _check_table_size(p)
+    g = _primitive_root(p)
+    ind = _dlog_table(p, g, M)
+    iw, i1w = ind[2:], ind[:1:-1]  # indices of w and of 1 - w, w = 2..p-1
+
+    def jacobi(s: int, t: int) -> list[int]:
+        return np.bincount((s * iw + t * i1w) % M, minlength=M).tolist()
+
+    return pow(g, (p - 1) // M, p), jacobi
 
 
 def count_affine_charsum(curve: CurveSpec, p: int) -> int:
-    """Exact affine count via Jacobi sums; must equal the naive backend.
+    """Exact affine count by the Jacobi-sum formula of the module docstring.
 
-    Requires p = 1 mod M (other primes fall back to the naive count).  For
-    M in (3, 4) the closed form of the module docstring gives the count in
-    O(log p).  For every other M, writing chi and psi for characters of
-    orders alpha and beta realized through the smallest primitive root, the
-    count decomposes as
-
-        N = A(c) + B(c) + sum_{j < alpha, l < beta}
-                chi^j(c/a) psi^l(c/b) J(chi^j, psi^l),
-
-    where A and B count the one-variable solutions on the axes.  All Jacobi
-    sums are accumulated as one integer vector n_k over the M residue classes
-    of the combined discrete-log exponent, so the double sum is
-    S = sum_k n_k zeta_M^k.  S = N - A(c) - B(c) is a rational integer, hence
-    equal to its trace over Q divided by phi(M); the trace of zeta_M^k is the
-    Ramanujan sum c_M(k), so S = sum_k n_k c_M(k) / phi(M) exactly, in
-    integers.  This path builds a discrete-log table: Theta(p) time and memory.
+    Requires p = 1 mod M (other primes fall back to the naive count).  J
+    comes from the prime above p in O(log p) for M in (3, 4), and from a
+    discrete-log table otherwise: Theta(p) time and memory, up to NAIVE_LIMIT.
     """
     if p % curve.M != 1:
         return count_affine_naive(curve, p)
@@ -342,33 +361,8 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
 
 
 def _count_affine_charsum(curve: CurveSpec, p: int) -> int:
-    M = curve.M
-    if M in _CM_MODULI:
-        return _count_affine_cm(curve, p)
-    g = _primitive_root(p)
-    ind = _dlog_table(p, g)
-    ca = curve.c % p * pow(curve.a, -1, p) % p
-    cb = curve.c % p * pow(curve.b, -1, p) % p
-    A_c = curve.alpha if ind[ca] % curve.alpha == 0 else 0
-    B_c = curve.beta if ind[cb] % curve.beta == 0 else 0
-    w = np.arange(2, p, dtype=np.int64)
-    iw = ind[w]
-    i1w = ind[(1 - w) % p]
-    sa = M // curve.alpha
-    sb = M // curve.beta
-    buckets = np.zeros(M, dtype=np.int64)
-    ks = np.arange(M)
-    for j in range(curve.alpha):
-        for l in range(curve.beta):
-            bc = np.bincount((sa * j * iw + sb * l * i1w) % M, minlength=M)
-            shift = (sa * j * int(ind[ca]) + sb * l * int(ind[cb])) % M
-            buckets[(ks + shift) % M] += bc
-    # the trace over Q of sum_k buckets[k] zeta_M^k, then divide by phi(M)
-    cs = _ramanujan_sums(M)
-    S, rem = divmod(sum(n * c for n, c in zip(buckets.tolist(), cs)), cs[0])
-    if rem:
-        raise RuntimeError("Jacobi-sum total is not a rational integer")
-    return A_c + B_c + S
+    source = _cm_source if curve.M in _CM_MODULI else _dlog_source
+    return _jacobi_total(curve, p, *source(curve.M, p))
 
 
 def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
@@ -376,7 +370,7 @@ def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
 
     backend None counts with the closed form for M in (3, 4), at any p, and
     with the naive count otherwise; "naive" and "charsum" name one backend.
-    The naive count raises beyond NAIVE_LIMIT.
+    The Theta(p) counts raise beyond NAIVE_LIMIT.
     """
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
@@ -386,7 +380,7 @@ def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
 
 def _trace(curve: CurveSpec, p: int, backend: str | None) -> TraceRecord:
     if backend is None:
-        count = _count_affine_cm if curve.M in _CM_MODULI else _count_affine_naive
+        count = _count_affine_charsum if curve.M in _CM_MODULI else _count_affine_naive
     elif backend == "naive":
         count = _count_affine_naive
     elif backend == "charsum":

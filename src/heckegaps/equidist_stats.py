@@ -241,8 +241,12 @@ def bv_table(
     d = set_spec.density if delta is None else delta
     if d is None:
         raise ValueError(f"set {set_spec.label} has no density; pass delta")
+    if not 0.0 < d <= 1.0:  # also refuses nan
+        raise ValueError(f"delta must lie in (0, 1], got {d!r}")
     ys = default_y_grid(x) if y_grid is None else sorted(set(int(y) for y in y_grid))
-    if ys and (ys[0] < 2 or ys[-1] > x):
+    if not ys:
+        raise ValueError("y_grid is empty")
+    if ys[0] < 2 or ys[-1] > x:
         raise ValueError("y_grid must lie in [2, x]")
     pr = primes_in(2, x + 1)
     pi_y = np.searchsorted(pr, ys, side="right")

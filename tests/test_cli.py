@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heckegaps import diagonal_curve
 from heckegaps.cli import main
@@ -190,7 +194,7 @@ def _count_calls(monkeypatch, name):
 
 def test_equidist_curve_traces_each_prime_once(capsys, monkeypatch):
     # a CM curve: the closed form counts every prime, the naive count none
-    calls = _count_calls(monkeypatch, "_count_affine_cm")
+    calls = _count_calls(monkeypatch, "_count_affine_charsum")
     naive = _count_calls(monkeypatch, "_count_affine_naive")
     code, out, _ = run_cli(capsys, "equidist", "--set", "curve", "--curve",
                            "1,1,1,3,3", "--x", "2000", "--format", "json")
@@ -350,6 +354,13 @@ def test_usage_error_exit_2(capsys):
     (("equidist", "--set", "peps", "--eps", "nan", "--x", "1000"), "eps must lie in (0, 1]"),
     (("gap-scan", "--records", "-1", "--x", "200"), "n_records"),
     (("sieve-opt", "--k", "1000", "--degree", "4"), "beyond the float reduction"),
+    (("curve-trace", "--curve", "1,-1,-1,5,2", "--p", "10000121", "--backend", "charsum"),
+     "beyond the O(p) counting limit"),
+    (("bv-check", "--x", "100", "--y-grid", ","), "y_grid is empty"),
+    (("bv-check", "--set", "peps", "--x", "100", "--Q", "3", "--delta", "nan"),
+     "delta must lie in (0, 1]"),
+    (("bv-check", "--set", "peps", "--x", "100", "--Q", "3", "--delta", "-1"),
+     "delta must lie in (0, 1]"),
 ])
 def test_bad_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -390,3 +401,78 @@ def test_repeat_runs_identical(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# argv fuzz: each flag draws from a few sane values and the malformed tokens
+_MALFORMED = ["", ",", "nan", "inf", "-1", "0", "0.5", "1e400", "abc"]
+_VALUES = {
+    "--lo": ["2", "100", "9000"],
+    "--hi": ["3", "1000", "1e4"],
+    "--p": ["2", "7", "13", "101", "9973"],
+    "--x": ["2", "100", "5000", "1e4"],
+    "--k": ["1", "2", "6", "30"],
+    "--degree": ["1", "2", "4"],
+    "--Q": ["1", "5", "30"],
+    "--T": ["1", "10", "30"],
+    "--records": ["1", "5"],
+    "--eps": ["0.1", "0.5", "1"],
+    "--trace-eps": ["0.5", "1", "4"],
+    "--delta": ["0.25", "1"],
+    "--curve": ["1,1,1,3,3", "1,1,1,4,2", "1,-1,-1,5,2", "1,2,1,3,3", "1,1,1,2,2", "1,1,1"],
+    "--y-grid": ["10,50", "2,100"],
+    "--check": ["0,2", "0,2,4", "0,2,6"],
+    "--tuple": ["0,2", "0,2,6"],
+    "--thetas": ["0.5", "0.25,0.9"],
+    "--interval": ["0,0.25", "0.5,0.1"],
+    "--measure": ["arcsine", "cm", "uniform"],
+    "--stat": ["ks", "et"],
+    "--backend": ["naive", "charsum"],
+    "--format": ["text", "csv", "json"],
+    "--threads": ["1", "2"],
+}
+# subcommand -> (flags always given, flags maybe given)
+_FLAGS = {
+    "primes": (["--hi"], ["--lo", "--count-only"]),
+    "split": ([], ["--p", "--lo", "--hi"]),
+    "curve-trace": (["--curve"], ["--p", "--lo", "--hi", "--backend"]),
+    "equidist": (["--x"], ["--set", "--eps", "--curve", "--measure", "--stat",
+                           "--interval", "--T"]),
+    "bv-check": (["--x"], ["--set", "--eps", "--Q", "--y-grid", "--delta"]),
+    "tuple": ([], ["--k", "--check"]),
+    "sieve-opt": (["--k"], ["--degree", "--thetas"]),
+    "gap-scan": (["--x"], ["--set", "--eps", "--curve", "--trace-eps", "--tuple",
+                           "--records"]),
+}
+_SETS = {"equidist": ["peps", "curve"], "bv-check": ["primes", "peps"],
+         "gap-scan": ["primes", "peps", "curve"]}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[cmd]
+    extra = draw(st.lists(st.sampled_from(optional + ["--format", "--threads"]),
+                          unique=True, max_size=4))
+    argv = [cmd]
+    for flag in required + extra:
+        if flag == "--count-only":
+            argv.append(flag)
+            continue
+        sane = _SETS[cmd] if flag == "--set" else _VALUES[flag]
+        malformed = draw(st.integers(0, 3)) == 0
+        argv += [flag, draw(st.sampled_from(_MALFORMED if malformed else sane))]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_argv())
+@example(["bv-check", "--x", "100", "--y-grid", ","])
+def test_fuzz_argv_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -227,6 +227,39 @@ def test_cm_closed_form_below_naive_limit(coeffs, p):
     assert trace(curve, p, backend="charsum").affine_count == want
 
 
+NON_CM_PAIRS = [(2, 2), (3, 2), (5, 2), (5, 5), (6, 2), (6, 3), (8, 2), (12, 3)]
+_SMALL_PRIMES = [int(p) for p in primes_in(3, 5000)]
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.sampled_from(NON_CM_PAIRS), _COEFF, _COEFF, _COEFF, st.integers(0, 10**6))
+def test_discrete_log_source_matches_naive(pair, a, b, c, i):
+    curve = curve_new(a, b, c, *pair)
+    ps = [q for q in _SMALL_PRIMES if q % curve.M == 1]
+    p = ps[i % len(ps)]
+    assume((a * b * c) % p)
+    want = count_affine_naive(curve, p)
+    assert count_affine_charsum(curve, p) == want
+    if curve.g:  # the circle (2, 2) has genus 0 and no trace
+        assert trace(curve, p, backend="charsum").affine_count == want
+
+
+def test_discrete_log_source_has_the_naive_limit(monkeypatch):
+    from heckegaps import diagonal_curve
+
+    def no_table(*args):
+        raise AssertionError("table built beyond NAIVE_LIMIT")
+
+    monkeypatch.setattr(diagonal_curve, "_dlog_table", no_table)
+    monkeypatch.setattr(diagonal_curve, "_primitive_root", no_table)
+    p = 10000121
+    assert is_prime(p) and p > NAIVE_LIMIT and p % HYPER.M == 1
+    with pytest.raises(ValueError, match="beyond the O\\(p\\) counting limit"):
+        trace(HYPER, p, backend="charsum")
+    with pytest.raises(ValueError, match="beyond the O\\(p\\) counting limit"):
+        count_affine_charsum(HYPER, p)
+
+
 def _gauss_cubic_trace(p):
     """-L with 4p = L^2 + 27 m^2 and L = 1 mod 3, by a numpy search over m."""
     m = np.arange(1, math.isqrt(4 * p // 27) + 1, dtype=np.int64)

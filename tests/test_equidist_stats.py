@@ -172,6 +172,11 @@ def test_bv_table_input_checks():
         bv_table(spec, 100, 5, y_grid=[1])
     with pytest.raises(ValueError):
         bv_table(spec, 100, 5, y_grid=[101])
+    with pytest.raises(ValueError, match="y_grid is empty"):
+        bv_table(spec, 100, 5, y_grid=[])
+    for delta in (float("nan"), float("inf"), -1.0, 0.0, 1.5):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            bv_table(spec, 100, 5, delta=delta)
 
 
 def test_default_y_grid_shape():
