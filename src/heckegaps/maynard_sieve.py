@@ -11,21 +11,22 @@ is the largest eigenvalue of the pencil J c = lambda I c, and M_k > 2m/theta
 yields m + 1 primes infinitely often in admissible tuples at distribution
 level theta.
 
-Everything up to the eigensolve is exact rational arithmetic: monomial
-integrals over the simplex are products of factorials, symmetric-power
-expectations reduce to a sum over partitions, and both Gram matrices are
-assembled as Fractions.  Floats enter only at the solve, after a unit-diagonal
-congruence scaling of I that sidesteps the factorial underflow that raw
-conversion would hit for k in the hundreds.
+Everything up to the eigensolve is exact: a symmetric-power integral over
+the simplex is an integer sum over partitions over one factorial, and each
+Gram entry is an integer numerator over a known product of factorials, made
+into one Fraction.  Floats enter only at the solve, after a unit-diagonal
+congruence scaling of I (one correctly rounded integer division per entry)
+that sidesteps the factorial underflow raw conversion would hit for large k.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, comb, exp, factorial, log
+from math import ceil, comb, exp, factorial, lgamma, log, perm
 from typing import Sequence
 
 import numpy as np
@@ -85,13 +86,6 @@ def _partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def _falling(k: int, l: int) -> int:
-    r = 1
-    for i in range(l):
-        r *= k - i
-    return r
-
-
 def _aut(lam: tuple[int, ...]) -> int:
     r = 1
     for c in Counter(lam).values():
@@ -100,29 +94,31 @@ def _aut(lam: tuple[int, ...]) -> int:
 
 
 @cache
-def _sym_integral(k: int, A: int, B: int) -> Fraction:
-    """int_{R_k} (1 - P1)^A P2^B dt as an exact Fraction.
+def _sym_integral(k: int, A: int, B: int) -> int:
+    """The integer N with int_{R_k} (1 - P1)^A P2^B dt = N / (k + A + 2B)!.
 
     Expanding P2^B with the multinomial theorem groups terms by the partition
-    of B giving the multiset of squared-variable exponents; for a partition
-    with l distinct slots there are (k)_l / aut ways to assign variables, and
-    each monomial integral is a factorial product.
+    lam of B giving the multiset of squared-variable exponents; for a
+    partition with l distinct slots there are (k)_l / aut ways to assign
+    variables, and each monomial integral is A! prod (2 lam_i)! over the
+    common factorial.  Every partition's term B! (k)_l prod (2 lam_i)! /
+    (aut prod lam_i!) is an integer; a remainder raises RuntimeError.
     """
-    tot = Fraction(0)
-    denom = factorial(k + A + 2 * B)
+    tot = 0
     for lam in _partitions(B):
         l = len(lam)
         if l > k:
             continue
-        coef = Fraction(factorial(B))
-        for part in lam:
-            coef /= factorial(part)
-        coef *= Fraction(_falling(k, l), _aut(lam))
-        num = factorial(A)
+        num = factorial(B) * perm(k, l)
+        den = _aut(lam)
         for part in lam:
             num *= factorial(2 * part)
-        tot += coef * Fraction(num, denom)
-    return tot
+            den *= factorial(part)
+        q, r = divmod(num, den)
+        if r:
+            raise RuntimeError(f"partition term of k={k}, B={B} is not an integer")
+        tot += q
+    return factorial(A) * tot
 
 
 def sieve_basis(k: int, degree: int) -> SieveBasis:
@@ -137,45 +133,40 @@ def sieve_basis(k: int, degree: int) -> SieveBasis:
 
 
 def build_forms(k: int, degree: int):
-    """Exact Gram matrices (I, J) over the sieve basis.
+    """Exact Gram matrices (I, J) over the sieve basis, as Fractions.
 
     I is positive definite, J positive semidefinite.  The inner integral of
     (1-P1)^a P2^b against t_k uses the one-variable reduction
 
         int_0^u (u - t)^a t^{2j} dt = a! (2j)! / (a + 2j + 1)! * u^{a+2j+1},
 
-    after binomially splitting P2 = P2' + t_k^2.  The intended envelope is
-    k <= 200, degree <= 14 (larger inputs stay exact, just slower).
+    after binomially splitting P2 = P2' + t_k^2.  With d = a + 2b, element
+    (a, b) has integer weights W_j = C(b, j) a! (2j)! (d+1)! / (a+2j+1)!, and
+    every J term has A + 2B = d_i + d_j + 2, so each entry is an integer over
+    one denominator: I_ij over (k+d_i+d_j)!, J_ij over (d_i+1)! (d_j+1)!
+    (k+1+d_i+d_j)!.  Envelope: k <= 200, degree <= 14 (larger stays exact).
     """
     bas = sieve_basis(k, degree)
-    n = len(bas.elements)
+    els = bas.elements
+    n = len(els)
+    deg = [a + 2 * b for a, b in els]
+    W = [[comb(b, j) * factorial(a) * factorial(2 * j) * factorial(a + 2 * b + 1)
+          // factorial(a + 2 * j + 1) for j in range(b + 1)] for a, b in els]
     I = [[Fraction(0)] * n for _ in range(n)]
     J = [[Fraction(0)] * n for _ in range(n)]
-    for i, (a1, b1) in enumerate(bas.elements):
+    for i, (a1, b1) in enumerate(els):
         for j in range(i, n):
-            a2, b2 = bas.elements[j]
-            I[i][j] = I[j][i] = _sym_integral(k, a1 + a2, b1 + b2)
-            s = Fraction(0)
-            for j1 in range(b1 + 1):
-                for j2 in range(b2 + 1):
-                    w1 = comb(b1, j1) * Fraction(
-                        factorial(a1) * factorial(2 * j1), factorial(a1 + 2 * j1 + 1)
-                    )
-                    w2 = comb(b2, j2) * Fraction(
-                        factorial(a2) * factorial(2 * j2), factorial(a2 + 2 * j2 + 1)
-                    )
+            a2, b2 = els[j]
+            d = deg[i] + deg[j]
+            I[i][j] = I[j][i] = Fraction(_sym_integral(k, a1 + a2, b1 + b2), factorial(k + d))
+            s = 0
+            for j1, w1 in enumerate(W[i]):
+                for j2, w2 in enumerate(W[j]):
                     s += w1 * w2 * _sym_integral(
-                        k - 1,
-                        a1 + a2 + 2 * j1 + 2 * j2 + 2,
-                        (b1 - j1) + (b2 - j2),
-                    )
-            J[i][j] = J[j][i] = s
+                        k - 1, a1 + a2 + 2 * (j1 + j2) + 2, b1 + b2 - j1 - j2)
+            den = factorial(deg[i] + 1) * factorial(deg[j] + 1) * factorial(k + 1 + d)
+            J[i][j] = J[j][i] = Fraction(s, den)
     return bas, I, J
-
-
-def _flog(fr: Fraction) -> float:
-    """log of a positive Fraction, safe far beyond float range."""
-    return log(fr.numerator) - log(fr.denominator)
 
 
 def rayleigh_quotient(I, J, coefficients, k: int) -> float:
@@ -212,17 +203,27 @@ def optimize_Mk(k: int, degree: int) -> VariationalResult:
     dozen rows is diagonalized in one dense ``eigh``.  Its top eigenvector is
     mapped back to the original basis and scaled so its largest coefficient
     is +1.  ``iterations`` is always 1: one dense solve.  Raises ValueError
-    when k is so large that the unscaled coefficients overflow a float.
+    when k is so large that the unscaled coefficients overflow a float; for
+    k >= 301 that is certain (sqrt(k!) = 1/sqrt(I_00) overflows), so it
+    raises before any form is built.
     """
+    sieve_basis(k, degree)  # argument errors take precedence
+    overflow = ValueError(f"k={k} is beyond the float reduction's range: "
+                          "undoing the basis scaling overflows a float")
+    if lgamma(k + 1) / 2 > log(sys.float_info.max):
+        raise overflow
     bas, I, J = build_forms(k, degree)
     n = len(bas.elements)
-    In = np.empty((n, n))
-    Jn = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            # exact ratio, then float: I_ij / sqrt(I_ii I_jj) etc.
-            In[i, j] = float(I[i][j] ** 2 / (I[i][i] * I[j][j])) ** 0.5
-            Jn[i, j] = float(J[i][j] ** 2 / (I[i][i] * I[j][j])) ** 0.5
+    diag = [(I[i][i].numerator, I[i][i].denominator) for i in range(n)]
+    In, Jn = np.empty((2, n, n))
+    for i, (p_i, q_i) in enumerate(diag):
+        for j in range(i, n):
+            p_j, q_j = diag[j]
+            # F_ij / sqrt(I_ii I_jj) from the exact ratio under the root, as
+            # one correctly rounded int division (what float(Fraction) does)
+            for M, F in ((In, I), (Jn, J)):
+                a, b = F[i][j].numerator, F[i][j].denominator
+                M[i, j] = M[j, i] = (a * a * q_i * q_j / (b * b * p_i * p_j)) ** 0.5
     try:
         L = np.linalg.cholesky(In)
     except np.linalg.LinAlgError as e:
@@ -234,12 +235,11 @@ def optimize_Mk(k: int, degree: int) -> VariationalResult:
     c_scaled = np.linalg.solve(L.T, evecs[:, -1])
     # undo the unit-diagonal scaling: original c_i = scaled_i / sqrt(I_ii)
     try:
-        scale = np.array([exp(-0.5 * _flog(I[i][i])) for i in range(n)])
+        scale = np.array([exp(-0.5 * (log(p) - log(q))) for p, q in diag])
         with np.errstate(over="raise"):
             c = c_scaled * scale
     except (OverflowError, FloatingPointError):
-        raise ValueError(f"k={k} is beyond the float reduction's range: "
-                         "undoing the basis scaling overflows a float") from None
+        raise overflow from None
     c = c / c[int(np.argmax(np.abs(c)))]
     return VariationalResult(
         k=k,

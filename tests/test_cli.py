@@ -360,7 +360,7 @@ def test_usage_error_exit_2(capsys):
     (("bv-check", "--set", "peps", "--x", "100", "--Q", "3", "--delta", "nan"),
      "delta must lie in (0, 1]"),
     (("bv-check", "--set", "peps", "--x", "100", "--Q", "3", "--delta", "-1"),
-     "delta must lie in (0, 1]"),
+     "delta must lie in (0, 1]"),    (("sieve-opt", "--k", "1e29", "--degree", "14"), "beyond the float reduction"),
 ])
 def test_bad_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckegaps import maynard_sieve
 from heckegaps.maynard_sieve import (
     build_forms,
     dhl_m,
@@ -82,6 +84,83 @@ def test_forms_symmetric_and_rational():
         assert I[i][i] > 0
 
 
+def _poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _poly_pow(p, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = _poly_mul(out, p)
+    return out
+
+
+def _poly_integral(p):
+    """int over the simplex of a polynomial {exponents: coefficient}."""
+    return sum(c * simplex_integral(e) for e, c in p.items())
+
+
+def _oracle_forms(k, degree):
+    """I and J by expanding every product into monomials: no partition sums."""
+    unit = [tuple(int(i == v) for i in range(k)) for v in range(k)]
+    one_minus_p1 = {(0,) * k: Fraction(1), **{e: Fraction(-1) for e in unit}}
+    p2 = {tuple(2 * x for x in e): Fraction(1) for e in unit}
+    # u = 1 - t_1 - ... - t_{k-1}, the upper limit of the t_k integral
+    u = {e[:-1]: c for e, c in one_minus_p1.items() if e[-1] == 0}
+    F, G = [], []
+    for a, b in sieve_basis(k, degree).elements:
+        f = _poly_mul(_poly_pow(one_minus_p1, a, k), _poly_pow(p2, b, k))
+        g = {}
+        for e, c in f.items():  # int_0^u t_k^e dt_k = u^(e+1) / (e+1)
+            for e2, c2 in _poly_pow(u, e[-1] + 1, k - 1).items():
+                m = tuple(x + y for x, y in zip(e[:-1], e2))
+                g[m] = g.get(m, 0) + c * c2 / (e[-1] + 1)
+        F.append(f)
+        G.append(g)
+    n = len(F)
+    I = [[_poly_integral(_poly_mul(F[i], F[j])) for j in range(n)] for i in range(n)]
+    J = [[_poly_integral(_poly_mul(G[i], G[j])) for j in range(n)] for i in range(n)]
+    return I, J
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_build_forms_matches_polynomial_oracle(k, degree):
+    _, I, J = build_forms(k, degree)
+    assert (I, J) == _oracle_forms(k, degree)
+
+
+# sha256 of repr((I, J)): the exact forms, denominators included, pinned
+@pytest.mark.parametrize("k,degree,digest", [
+    (105, 11, "63e0fb8b08c2d2727ca70231231563a4e02f181abd62a9e403997aeaa375604b"),
+    (157, 14, "0d4774aad20c43e88a2d95b48425265f6b99aefe5dbca01e702cfe60b3e3617e"),
+    (8, 10, "6a5cf1eb7516e68806a2d218c17697121107a36bb5a620c6ce49e61e11584c37"),
+])
+def test_build_forms_bytes_pinned(k, degree, digest):
+    _, I, J = build_forms(k, degree)
+    assert hashlib.sha256(repr((I, J)).encode()).hexdigest() == digest
+
+
+def test_optimize_Mk_bytes_pinned():
+    assert repr(optimize_Mk(105, 11).Mk_lower) == "4.002069761225388"
+
+
+def test_sym_integral_remainder_raises(monkeypatch):
+    # a partition term that is not an integer means a wrong formula
+    monkeypatch.setattr(maynard_sieve, "_aut", lambda lam: 7)
+    maynard_sieve._sym_integral.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not an integer"):
+            maynard_sieve._sym_integral(5, 0, 1)
+    finally:
+        maynard_sieve._sym_integral.cache_clear()
+
+
 def test_optimize_k2_degree0_exact():
     res = optimize_Mk(2, 0)
     assert res.Mk_lower == pytest.approx(4 / 3, abs=1e-12)
@@ -136,6 +215,24 @@ def test_optimizer_rejects_bad_inputs():
         for k, degree in ((1000, 4), (300, 11)):
             with pytest.raises(ValueError, match="beyond the float reduction"):
                 optimize_Mk(k, degree)
+
+
+def test_optimizer_fails_before_building_forms_beyond_float_range(monkeypatch):
+    # I_00 = 1/k!, so sqrt(k!) overflowing a float dooms every degree: the
+    # error comes before any form is built, even at k = 10**29
+    def no_forms(k, degree):
+        raise AssertionError("build_forms was called")
+
+    monkeypatch.setattr(maynard_sieve, "build_forms", no_forms)
+    for k in (301, 1000, 10**29):
+        with pytest.raises(ValueError, match=f"k={k} is beyond the float reduction"):
+            optimize_Mk(k, 11)
+    # argument errors still come first
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        optimize_Mk(10**29, -1)
+    monkeypatch.undo()
+    # k = 300 is inside the range at degree 0
+    assert optimize_Mk(300, 0).Mk_lower == pytest.approx(600 / 301, abs=1e-12)
 
 
 def test_dhl_m_frozen():
