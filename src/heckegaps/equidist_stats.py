@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import measures as ms
-from .diagonal_curve import CurveSpec, curve_primes, in_P_CI, trace
+from .diagonal_curve import CurveSpec, _trace, curve_primes, in_P_CI
 from .gaussian_split import SplitTable, in_P_eps, peps_cut, split_range
 from .prime_engine import is_prime, primes_in
 
@@ -156,9 +156,15 @@ def peps_set(eps: float, table: Optional[SplitTable] = None) -> SetSpec:
 
 def curve_traces(curve: CurveSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Primes p in [lo, hi) with p = 1 mod M and p not dividing abc, and the
-    normalized trace of each, every prime traced exactly once."""
+    normalized trace of each, every prime traced exactly once.
+
+    The sieve and ``curve_primes`` already give exactly the p that ``trace``
+    checks for, so only the genus is checked, once.
+    """
+    if curve.g < 1:
+        raise ValueError("trace needs genus >= 1")
     ps = curve_primes(curve, primes_in(max(lo, 2), hi))
-    vals = [trace(curve, p).normalized for p in ps]
+    vals = [_trace(curve, p, None).normalized for p in ps]
     return np.array(ps, dtype=np.int64), np.array(vals, dtype=np.float64)
 
 

@@ -107,19 +107,65 @@ def primes_in(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> np.ndarray:
     return _primes(lo, hi, segment_odds)
 
 
-def count_primes(lo: int, hi: int) -> int:
-    """The number of primes in [lo, hi), counted per segment.
+def _pi(n: int) -> int:
+    """pi(n) by the Legendre-Lucy recurrence, in O(sqrt(n)) int64 words.
 
-    Same result as ``primes_in(lo, hi).size`` in memory bounded by one
-    segment and the base primes, whatever the width of the range.
+    S(v) starts as v - 1, the count of 2..v.  Once the primes below p are
+    done, S(v) counts the integers in 2..v that are prime or have no prime
+    factor below p.  Doing p removes the composites whose least prime factor
+    is p: S(v) -= S(v // p) - S(p - 1) for every v >= p^2.  Only the
+    ~2 sqrt(n) values v = n // i are ever read, so two arrays hold them:
+    ``small[v]`` = S(v) for v <= r = isqrt(n) and ``large[i]`` = S(n // i)
+    for i <= r.  Each prime p <= r is one numpy update of each array.
+    n // i // p = n // (i p) is ``large[i p]`` while i p <= r, a strided
+    slice, and at most r otherwise, a gather from ``small``.  Every right
+    side is computed before its write, and ``large`` is updated before the
+    ``small`` it reads, so every read sees S before p.  About
+    n^(3/4) / log n operations; no value exceeds n < 2^63.
+    """
+    if n < 2:
+        return 0
+    r = isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
+    vlarge = n // np.arange(1, r + 1, dtype=np.int64)  # vlarge[i - 1] = n // i
+    large = np.concatenate(([0], vlarge - 1))  # large[i] = S(n // i)
+    for p in _primes(2, r + 1, SEGMENT_ODDS).tolist():
+        sp = int(small[p - 1])
+        p2 = p * p
+        top = min(r, n // p2)  # large[i] changes iff n // i >= p^2
+        mid = min(top, r // p)  # i p <= r
+        large[1:mid + 1] -= large[p:mid * p + 1:p] - sp
+        large[mid + 1:top + 1] -= small[vlarge[mid:top] // p] - sp
+        if p2 <= r:
+            small[p2:] -= small[np.arange(p2, r + 1) // p] - sp
+    return int(large[1])
+
+
+def count_primes(lo: int, hi: int) -> int:
+    """The number of primes in [lo, hi); equal to ``primes_in(lo, hi).size``.
+
+    A wide window, ``hi - lo > 10 * hi ** 0.75``, is counted as
+    ``_pi(hi - 1) - _pi(lo - 1)``: O(sqrt(hi)) int64 words and about
+    hi^(3/4) / log hi steps, whatever lo is.  Any other window is sieved and
+    counted segment by segment: memory bounded by one segment and the base
+    primes, about hi - lo + sqrt(hi) steps.  So narrow windows far out (up to
+    2^50) never build sqrt(hi)-long arrays.
+
+    The rule is the measured crossover (2 cores, numpy 2.4.6, best of 5):
+    ``_pi`` takes 1.9 / 5.2 / 15 / 45 / 140 ms at 1e6 .. 1e10, the sieve
+    2-3 ns a number (a 1e7-wide window 20 / 37 / 83 ms at hi = 1e8 / 1e9 /
+    1e10).  The two paths break even between about 5 and 40 hi^(3/4) wide.
     """
     _check_range(lo, hi)
+    if hi - lo > 10 * hi ** 0.75:
+        return _pi(hi - 1) - _pi(lo - 1)
     return int(lo <= 2) + sum(
         int(np.count_nonzero(buf)) for _, buf in _segments(lo, hi, SEGMENT_ODDS))
 
 
 def prime_count(x: int) -> int:
-    """pi(x), the number of primes <= x."""
+    """pi(x), the number of primes <= x, by ``_pi`` in O(sqrt(x)) memory."""
     if x < 2:
         raise ValueError("prime_count needs x >= 2")
-    return count_primes(2, x + 1)
+    _check_range(2, x + 1)
+    return _pi(x)

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heckegaps import prime_engine
 from heckegaps.prime_engine import (
     SEGMENT_ODDS,
+    _pi,
     count_primes,
     is_prime,
     prime_count,
@@ -34,6 +36,53 @@ def test_classical_counts():
     assert prime_count(10**6) == 78498
     assert prime_count(10**7) == 664579
     assert prime_count(10**8) == 5761455
+    assert prime_count(10**9) == 50847534
+    assert prime_count(10**10) == 455052511
+    # the sieve path, pinned at the size prime_count used to sieve
+    assert primes_in(2, 10**8 + 1).size == 5761455
+
+
+def test_pi_agrees_with_trial_division():
+    count = 0
+    for n in range(2001):
+        count += trial_division(n)
+        assert _pi(n) == count
+
+
+@st.composite
+def count_windows(draw):
+    """[lo, hi) with hi <= 1e7: lo = 2, lo = 3, lo near hi or lo anywhere,
+    so widths fall on both sides of count_primes' wide-window rule."""
+    e = draw(st.integers(min_value=1, max_value=7))  # every magnitude alike
+    hi = draw(st.integers(min_value=max(3, 10 ** (e - 1)), max_value=10**e))
+    lo = draw(st.one_of(
+        st.sampled_from((2, 3)),
+        st.integers(min_value=max(2, hi - 200), max_value=hi - 1),
+        st.integers(min_value=2, max_value=hi - 1),
+    ))
+    return max(2, min(lo, hi - 1)), hi
+
+
+@settings(derandomize=True, max_examples=60)
+@given(count_windows())
+@example((2, 3))
+@example((3, 10**7))
+@example((2, 10**7))
+@example((10**7 - 1, 10**7))
+@example((10**7 - int(10 * 10**5.25) - 1, 10**7))  # one past the rule
+@example((10**7 - int(10 * 10**5.25), 10**7))  # just inside it
+def test_count_primes_agrees_with_sieve(window):
+    lo, hi = window
+    assert count_primes(lo, hi) == primes_in(lo, hi).size
+
+
+def test_narrow_far_window_stays_on_sieve(monkeypatch):
+    def refuse(n):
+        raise AssertionError("a narrow window must not build sqrt(hi)-long arrays")
+
+    monkeypatch.setattr(prime_engine, "_pi", refuse)
+    lo, hi = 2**50 - 10**5, 2**50
+    assert count_primes(lo, hi) == primes_in(lo, hi).size
 
 
 def test_edge_windows():
