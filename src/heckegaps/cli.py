@@ -48,8 +48,9 @@ from .tuples import make_tuple, narrow_tuple
 
 DEFAULT_THETAS = (1.0 / 18.0, 0.25, 0.5, 0.9)
 
-# Longest integer a flag accepts, in digits.  Every exact computation in the
-# package stays below 2^64 (20 digits).
+# Longest integer a flag accepts, in digits.  Primality is exact only below
+# 2^64 (20 digits), so a larger --p is refused with exit 1; curve coefficients
+# may be longer, since only their residues mod p are used.
 MAX_DIGITS = 30
 
 

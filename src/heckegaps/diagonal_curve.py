@@ -495,8 +495,7 @@ class TraceStore:
             self.records[p] = r
         return r
 
-    def save(self, path=None) -> None:
-        target = self.path if path is None else path
-        if target is None:
+    def save(self) -> None:
+        if self.path is None:
             raise ValueError("no path given for trace cache")
-        save_trace_cache(target, self.curve, self.records.values())
+        save_trace_cache(self.path, self.curve, self.records.values())

@@ -168,19 +168,14 @@ def curve_traces(curve: CurveSpec, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return np.array(ps, dtype=np.int64), np.array(vals, dtype=np.float64)
 
 
-def curve_set(
-    curve: CurveSpec,
-    interval: tuple[float, float],
-    density: Optional[float] = None,
-    d_E: Optional[int] = None,
-) -> SetSpec:
+def curve_set(curve: CurveSpec, interval: tuple[float, float]) -> SetSpec:
     """Primes with normalized trace in ``interval`` for a diagonal curve.
 
-    No closed-form density is known for genus >= 2; pass one if you have an
-    empirical estimate, else BV tables will refuse.  d_E defaults to the
-    curve's M (the set lives inside p = 1 mod M, so moduli sharing a factor
-    with M see a skewed progression).  ``members`` traces the sieved primes
-    directly; ``contains`` re-checks one integer from scratch with ``in_P_CI``.
+    No closed-form density is known for genus >= 2, so the set has none and BV
+    tables need an explicit delta.  d_E is the curve's M (the set lives inside
+    p = 1 mod M, so moduli sharing a factor with M see a skewed progression).
+    ``members`` traces the sieved primes directly; ``contains`` re-checks one
+    integer from scratch with ``in_P_CI``.
     """
     t_lo, t_hi = interval
     if not (-1.0 <= t_lo <= t_hi <= 1.0):
@@ -193,8 +188,8 @@ def curve_set(
     return SetSpec(
         label=f"curve[{curve.a},{curve.b},{curve.c},{curve.alpha},{curve.beta}]"
         f"@[{interval[0]!r},{interval[1]!r}]",
-        density=density,
-        d_E=curve.M if d_E is None else d_E,
+        density=None,
+        d_E=curve.M,
         contains=lambda p: in_P_CI(curve, p, interval),
         members=_members,
     )
@@ -222,12 +217,11 @@ class BVTable:
     label: str
 
 
-def default_y_grid(x: int, points: int = 16) -> list[int]:
-    """Geometric grid from sqrt(x) to x; the max over all y <= x is not
-    computed exactly (documented approximation, cost)."""
-    ys = np.geomspace(max(2.0, x**0.5), float(x), points)
-    out = sorted({int(round(y)) for y in ys})
-    return out
+def default_y_grid(x: int) -> list[int]:
+    """16-point geometric grid from sqrt(x) to x; the max over all y <= x is
+    not computed exactly (documented approximation, cost)."""
+    ys = np.geomspace(max(2.0, x**0.5), float(x), 16)
+    return sorted({int(round(y)) for y in ys})
 
 
 def bv_table(
@@ -239,8 +233,10 @@ def bv_table(
 ) -> BVTable:
     """Per-modulus worst-class errors |pi_set(y;q,a) - delta pi(y)/phi(q)|.
 
-    Moduli run over q <= Q with gcd(q, d_E) = 1.  The scan order (ascending a,
-    then ascending y) breaks ties deterministically.
+    Moduli run over q <= Q with gcd(q, d_E) = 1.  Each modulus is one
+    histogram of (p mod q, first grid point y >= p) over the members, summed
+    along y: O(|members| + q |y_grid|) work and int64 words per modulus.  Ties
+    go to the first cell in ascending a, then ascending y.
     """
     if Q > x:
         raise ValueError("need Q <= x")
@@ -255,28 +251,27 @@ def bv_table(
     if ys[0] < 2 or ys[-1] > x:
         raise ValueError("y_grid must lie in [2, x]")
     pr = primes_in(2, x + 1)
-    pi_y = np.searchsorted(pr, ys, side="right")
+    pi_y = np.searchsorted(pr, ys, side="right").astype(np.float64)
     mem = np.asarray(set_spec.members(2, x + 1))
+    # a member p counts at every grid point from the first y >= p on
+    y_idx = np.searchsorted(ys, mem)
+    keep = y_idx < len(ys)
+    mem, y_idx = mem[keep], y_idx[keep]
     rows = []
     for q in range(1, Q + 1):
         if gcd(q, set_spec.d_E) != 1:
             continue
-        res = mem % q
-        cop = [a for a in range(q) if gcd(a, q) == 1] if q > 1 else [0]
-        phi = len(cop)
-        best = None
-        for a in cop:
-            cls = mem[res == a]
-            obs_at = np.searchsorted(cls, ys, side="right")
-            for yi, y in enumerate(ys):
-                expected = d * float(pi_y[yi]) / phi
-                err = abs(float(obs_at[yi]) - expected)
-                if best is None or err > best[0]:
-                    best = (err, a, y, int(obs_at[yi]), expected)
-        err, a, y, obs, expected = best
-        rows.append(
-            BVRow(q=q, worst_a=a, worst_y=y, observed=obs, expected=expected, abs_err=err)
-        )
+        # hist[a, j]: members = a mod q whose first grid point is ys[j]
+        hist = np.bincount((mem % q) * len(ys) + y_idx, minlength=q * len(ys))
+        cop = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
+        obs = hist.reshape(q, len(ys))[cop].cumsum(axis=1)
+        expected = d * pi_y / len(cop)
+        err = np.abs(obs - expected)
+        # the first maximum in row-major order: ascending a, then ascending y
+        i, j = np.unravel_index(np.argmax(err), err.shape)
+        rows.append(BVRow(
+            q=q, worst_a=int(cop[i]), worst_y=ys[j], observed=int(obs[i, j]),
+            expected=float(expected[j]), abs_err=float(err[i, j])))
     return BVTable(
         rows=tuple(rows),
         aggregate=float(sum(r.abs_err for r in rows)),

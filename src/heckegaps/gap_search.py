@@ -18,6 +18,10 @@ import numpy as np
 from .equidist_stats import SetSpec
 from .tuples import AdmissibleTuple, make_tuple
 
+# ``scan_tuple`` reports at most this many best windows and record pairs.
+MAX_WINDOWS = 20
+MAX_PAIRS = 50
+
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -41,14 +45,12 @@ def scan_tuple(
     set_spec: SetSpec,
     H: Union[AdmissibleTuple, Sequence[int]],
     x: int,
-    max_windows: int = 20,
-    max_pairs: int = 50,
 ) -> ScanReport:
     """Hit counts of {n + h_i} against the set for n in (x, 2x].
 
     Membership is resolved against the precomputed sorted member list for
     (x, 2x + diameter]; the windows achieving the maximum count are returned
-    (capped at ``max_windows``) with each hit re-verified through
+    (the first ``MAX_WINDOWS``) with each hit re-verified through
     ``set_spec.contains``.  Sensible output needs x comfortably larger than
     the diameter; tiny x are allowed for smoke tests.
     """
@@ -73,7 +75,7 @@ def scan_tuple(
     mx = int(hits.max()) if x > 0 else 0
     ns = (x + 1) + np.nonzero(hits == mx)[0]
     best = []
-    for n in ns[:max_windows]:
+    for n in ns[:MAX_WINDOWS]:
         n = int(n)
         hit_offs = tuple(h for h in offs if bitmap[n + h - lo])
         for h in hit_offs:
@@ -85,7 +87,7 @@ def scan_tuple(
     if members.size >= 2:
         diffs = np.diff(members)
         mg = int(diffs.min())
-        where = np.nonzero(diffs == mg)[0][:max_pairs]
+        where = np.nonzero(diffs == mg)[0][:MAX_PAIRS]
         pairs = tuple(
             (mg, int(members[i]), int(members[i + 1])) for i in where
         )

@@ -125,31 +125,3 @@ def density_P_eps(eps: float) -> float:
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     return asin(eps) / pi
-
-
-def empirical_to_csv(m: Measure) -> str:
-    """Serialize an empirical measure as `bin_lo,bin_hi,mass` lines."""
-    if m.kind != "empirical":
-        raise ValueError("only empirical measures serialize to CSV")
-    lines = ["bin_lo,bin_hi,mass"]
-    for lo, hi, mass_i in zip(m.edges[:-1], m.edges[1:], m.masses):
-        lines.append(f"{float(lo)!r},{float(hi)!r},{float(mass_i)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def empirical_from_csv(text: str) -> Measure:
-    rows = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("bin_lo")]
-    edges = []
-    masses = []
-    for ln in rows:
-        lo_s, hi_s, m_s = ln.split(",")
-        edges.append(float(lo_s))
-        masses.append(float(m_s))
-        last_hi = float(hi_s)
-    edges.append(last_hi)
-    e = np.array(edges)
-    # contiguity check: each bin_hi must be the next bin_lo
-    for i, ln in enumerate(rows[:-1]):
-        if float(ln.split(",")[1]) != e[i + 1]:
-            raise ValueError(f"bins are not contiguous at row {i + 1}")
-    return empirical(e, masses)

@@ -26,7 +26,13 @@ MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 2^64."""
+    """Deterministic Miller-Rabin, exact for all n < 2^64.
+
+    Larger n raise ValueError: the twelve bases are only a proof below 2^64,
+    and composites above it pass all of them.
+    """
+    if n >= 1 << 64:
+        raise ValueError(f"{n} is beyond the exact Miller-Rabin range (n < 2^64)")
     if n < 2:
         return False
     for p in MR_BASES:
@@ -144,20 +150,33 @@ def _pi(n: int) -> int:
 def count_primes(lo: int, hi: int) -> int:
     """The number of primes in [lo, hi); equal to ``primes_in(lo, hi).size``.
 
-    A wide window, ``hi - lo > 10 * hi ** 0.75``, is counted as
-    ``_pi(hi - 1) - _pi(lo - 1)``: O(sqrt(hi)) int64 words and about
-    hi^(3/4) / log hi steps, whatever lo is.  Any other window is sieved and
-    counted segment by segment: memory bounded by one segment and the base
-    primes, about hi - lo + sqrt(hi) steps.  So narrow windows far out (up to
+    A wide window, ``hi - lo > max(3e4 hi^(1/3), 600 hi^(1/2))``, is counted
+    as ``_pi(hi - 1) - _pi(lo - 1)``: O(sqrt(hi)) int64 words, whatever lo is.
+    Any other window is sieved and counted segment by segment: memory bounded
+    by one segment and the base primes.  So narrow windows far out (up to
     2^50) never build sqrt(hi)-long arrays.
 
-    The rule is the measured crossover (2 cores, numpy 2.4.6, best of 5):
-    ``_pi`` takes 1.9 / 5.2 / 15 / 45 / 140 ms at 1e6 .. 1e10, the sieve
-    2-3 ns a number (a 1e7-wide window 20 / 37 / 83 ms at hi = 1e8 / 1e9 /
-    1e10).  The two paths break even between about 5 and 40 hi^(3/4) wide.
+    The rule is the measured crossover (2 cores, numpy 2.4.6, medians of 3).
+    The sieve costs a fixed time per number that grows with the base primes
+    it loops over; ``_pi`` costs the same whatever the width.  Break-even is
+    the width where a sieve equals two ``_pi`` calls:
+
+        hi     sieve/number  _pi(hi)    break-even width  rule
+        1e7     1.2 ns        4-5 ms     6.5e6            6.5e6
+        1e8     1.5 ns       11-15 ms    1.4e7            1.4e7
+        1e9     2.8 ns       31-45 ms    3.0e7            3.0e7
+        1e10    6.7 ns       0.13-0.2 s  6e7              6.5e7
+        1e11   14 ns         0.6-0.7 s   7e7              1.9e8
+        1e12   24 ns         3.2-3.8 s   2.5e8            6.0e8
+        1e13   23 ns         15 s        1.3e9            1.9e9
+        2^50   53 ns         250-450 s   0.9e10-1.6e10    2.0e10
+
+    Up to 1e10 the hi^(1/3) term lands on the break-even; beyond, the
+    sqrt(hi) term stays above it, so no window picks ``_pi`` where the sieve
+    is faster.  At 2^50 ``_pi`` is extrapolated, not run (about 1.6 GB).
     """
     _check_range(lo, hi)
-    if hi - lo > 10 * hi ** 0.75:
+    if hi - lo > max(3e4 * hi ** (1 / 3), 600 * hi ** 0.5):
         return _pi(hi - 1) - _pi(lo - 1)
     return int(lo <= 2) + sum(
         int(np.count_nonzero(buf)) for _, buf in _segments(lo, hi, SEGMENT_ODDS))

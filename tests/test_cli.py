@@ -360,7 +360,12 @@ def test_usage_error_exit_2(capsys):
     (("bv-check", "--set", "peps", "--x", "100", "--Q", "3", "--delta", "nan"),
      "delta must lie in (0, 1]"),
     (("bv-check", "--set", "peps", "--x", "100", "--Q", "3", "--delta", "-1"),
-     "delta must lie in (0, 1]"),    (("sieve-opt", "--k", "1e29", "--degree", "14"), "beyond the float reduction"),
+     "delta must lie in (0, 1]"),
+    (("sieve-opt", "--k", "1e29", "--degree", "14"), "beyond the float reduction"),
+    # a strong pseudoprime to every Miller-Rabin base, above 2^64
+    (("split", "--p", "318665857834031151167461"), "exact Miller-Rabin range"),
+    (("curve-trace", "--curve", "1,1,1,4,2", "--p", "318665857834031151167461"),
+     "exact Miller-Rabin range"),
 ])
 def test_bad_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

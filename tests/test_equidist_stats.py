@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heckegaps.equidist_stats import (
+    BVRow,
     all_primes_set,
     bv_decay,
     bv_rows_csv,
@@ -111,8 +112,10 @@ def test_peps_set_table_fast_path(split_table_1e7):
     assert fast.members(2, 3000).tolist() == slow.members(2, 3000).tolist()
 
 
-def brute_bv_table(spec, x, Q, delta):
-    """Reference implementation: direct nested loops, no vectorization."""
+def brute_bv_table(spec, x, Q, delta, ys):
+    """Reference implementation: direct nested loops over q, a and y, no
+    vectorization.  A cell replaces the best only when strictly worse, so ties
+    go to the first (a, y) in ascending order."""
     members = [int(p) for p in spec.members(2, x + 1)]
     all_p = [int(p) for p in primes_in(2, x + 1)]
     rows = []
@@ -120,48 +123,72 @@ def brute_bv_table(spec, x, Q, delta):
     for q in range(1, Q + 1):
         if math.gcd(q, spec.d_E) != 1:
             continue
+        phi = sum(1 for t in range(1, q + 1) if math.gcd(t, q) == 1)
         best = None
         for a in range(q):
             if math.gcd(a, q) != 1 and q > 1:
                 continue
-            obs = sum(1 for p in members if p % q == a)
-            phi = sum(1 for t in range(1, q + 1) if math.gcd(t, q) == 1)
-            exp = delta * len(all_p) / phi
-            err = abs(obs - exp)
-            if best is None or err > best[3]:
-                best = (a, obs, exp, err)
-        rows.append((q, best[0], best[1], best[2], best[3]))
-        total += best[3]
-    return rows, total
+            for y in ys:
+                obs = sum(1 for p in members if p <= y and p % q == a)
+                exp = delta * sum(1 for p in all_p if p <= y) / phi
+                err = abs(obs - exp)
+                if best is None or err > best.abs_err:
+                    best = BVRow(q=q, worst_a=a, worst_y=y, observed=obs,
+                                 expected=exp, abs_err=err)
+        rows.append(best)
+        total += best.abs_err
+    return tuple(rows), total
 
 
 def test_bv_table_against_brute_force():
     spec = all_primes_set()
     x, Q = 300, 6
     table = bv_table(spec, x, Q, y_grid=[x])
-    want_rows, want_total = brute_bv_table(spec, x, Q, delta=1.0)
-    assert len(table.rows) == len(want_rows)
-    for row, (q, a, obs, exp, err) in zip(table.rows, want_rows):
-        assert row.q == q
-        assert row.worst_a == a
-        assert row.worst_y == x
-        assert row.observed == obs
-        assert row.expected == pytest.approx(exp)
-        assert row.abs_err == pytest.approx(err)
-    assert table.aggregate == pytest.approx(want_total)
+    want_rows, want_total = brute_bv_table(spec, x, Q, 1.0, [x])
+    assert table.rows == want_rows
+    assert table.aggregate == want_total
 
 
 def test_bv_table_peps_against_brute_force():
     spec = peps_set(0.5)
     x, Q = 400, 8
     table = bv_table(spec, x, Q, y_grid=[x])
-    want_rows, want_total = brute_bv_table(spec, x, Q, delta=spec.density)
-    got = [(r.q, r.worst_a, r.observed) for r in table.rows]
-    want = [(q, a, obs) for q, a, obs, _, _ in want_rows]
-    assert got == want
-    assert table.aggregate == pytest.approx(want_total)
+    want_rows, want_total = brute_bv_table(spec, x, Q, spec.density, [x])
+    assert table.rows == want_rows
+    assert table.aggregate == want_total
     # moduli sharing a factor with d_E = 4 are excluded
     assert all(r.q % 2 == 1 for r in table.rows)
+
+
+@pytest.mark.parametrize("spec,x,Q,ys", [
+    (all_primes_set(), 2000, 12, [2, 3, 50, 199, 1000, 1999, 2000]),
+    (all_primes_set(), 1500, 10, default_y_grid(1500)),
+    (peps_set(0.5), 2000, 12, [5, 13, 400, 1013, 2000]),
+    (peps_set(0.5), 1800, 11, default_y_grid(1800)),
+])
+def test_bv_table_y_grid_against_brute_force(spec, x, Q, ys):
+    table = bv_table(spec, x, Q, y_grid=ys)
+    want_rows, want_total = brute_bv_table(spec, x, Q, spec.density, ys)
+    assert table.rows == want_rows
+    assert table.aggregate == want_total
+
+
+def test_bv_table_ties_go_to_first_class_then_first_y():
+    spec = all_primes_set()
+    x, ys = 200, [int(y) for y in np.linspace(20, 200, 8)]
+    assert ys == [20, 45, 71, 97, 122, 148, 174, 200]
+    table = bv_table(spec, x, 5, y_grid=ys)
+    want_rows, want_total = brute_bv_table(spec, x, 5, 1.0, ys)
+    assert table.rows == want_rows
+    assert table.aggregate == want_total
+    # q = 5 has four cells at the maximum; the scan keeps the first of them
+    pr = primes_in(2, x + 1)
+    errs = {(a, y): abs(int(((pr <= y) & (pr % 5 == a)).sum()) - (pr <= y).sum() / 4)
+            for a in (1, 2, 3, 4) for y in ys}
+    top = max(errs.values())
+    assert sorted(k for k, v in errs.items() if v == top) == [(1, 174), (2, 174), (4, 71), (4, 174)]
+    row = table.rows[-1]
+    assert (row.q, row.worst_a, row.worst_y, row.abs_err) == (5, 1, 174, top)
 
 
 def test_bv_table_input_checks():

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,8 +11,6 @@ from heckegaps.measures import (
     cm_mixture,
     density_P_eps,
     empirical,
-    empirical_from_csv,
-    empirical_to_csv,
     mass,
     uniform01,
 )
@@ -129,16 +126,3 @@ def test_mass_additive_up_to_shared_atom(m, a, b, c):
     lhs = mass(m, (a, c))
     rhs = mass(m, (a, b)) + mass(m, (b, c)) - atom(m, b)
     assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def test_csv_round_trip():
-    m = empirical([-1.0, 0.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-    back = empirical_from_csv(empirical_to_csv(m))
-    assert np.allclose(back.edges, m.edges)
-    assert np.allclose(back.masses, m.masses)
-
-
-def test_csv_rejects_gaps():
-    bad = "bin_lo,bin_hi,mass\n-1.0,0.0,0.5\n0.5,1.0,0.5\n"
-    with pytest.raises(ValueError):
-        empirical_from_csv(bad)

@@ -63,17 +63,38 @@ def count_windows(draw):
     return max(2, min(lo, hi - 1)), hi
 
 
+# count_primes' wide-window rule at hi = 1e7, where 3e4 hi^(1/3) is the larger term
+RULE_1E7 = int(3e4 * (10**7) ** (1 / 3))
+
+
 @settings(derandomize=True, max_examples=60)
 @given(count_windows())
 @example((2, 3))
 @example((3, 10**7))
 @example((2, 10**7))
 @example((10**7 - 1, 10**7))
-@example((10**7 - int(10 * 10**5.25) - 1, 10**7))  # one past the rule
+@example((10**7 - int(10 * 10**5.25) - 1, 10**7))  # one past 10 hi^(3/4)
 @example((10**7 - int(10 * 10**5.25), 10**7))  # just inside it
+@example((10**7 - RULE_1E7 - 1, 10**7))  # one past the rule
+@example((10**7 - RULE_1E7, 10**7))  # just inside it
 def test_count_primes_agrees_with_sieve(window):
     lo, hi = window
     assert count_primes(lo, hi) == primes_in(lo, hi).size
+
+
+def test_count_primes_switches_path_at_the_rule(monkeypatch):
+    calls = []
+
+    def counting(n, _pi=prime_engine._pi):
+        calls.append(n)
+        return _pi(n)
+
+    monkeypatch.setattr(prime_engine, "_pi", counting)
+    hi = 10**7
+    count_primes(hi - RULE_1E7, hi)
+    assert calls == []
+    count_primes(hi - RULE_1E7 - 1, hi)
+    assert calls == [hi - 1, hi - RULE_1E7 - 2]
 
 
 def test_narrow_far_window_stays_on_sieve(monkeypatch):
@@ -150,6 +171,17 @@ def test_is_prime_known_hard_cases():
     assert is_prime((1 << 61) - 1)
     assert is_prime(10**9 + 7)
     assert is_prime(10**9 + 9)
+    assert is_prime((1 << 64) - 59)  # the largest prime below 2^64
+
+
+def test_is_prime_refuses_beyond_2_64():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to all
+    # twelve MR_BASES, so no answer past 2^64 could be trusted
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    for n in (psi12, 1 << 64):
+        with pytest.raises(ValueError, match="exact Miller-Rabin range"):
+            is_prime(n)
 
 
 
