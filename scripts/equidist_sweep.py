@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from heckegaps.equidist_stats import empirical_dist, ks_distance
-from heckegaps.gaussian_split import SplitTable
+from heckegaps.equidist_stats import ks_distance
+from heckegaps.gaussian_split import split_range
 from heckegaps.measures import arcsine
 
 
@@ -24,14 +24,15 @@ def main():
     args = ap.parse_args()
 
     xs = np.geomspace(args.x_min, args.x_max, args.points).astype(np.int64)
-    table = SplitTable.build(int(args.x_max) + 1)
+    p, a, _ = split_range(2, int(args.x_max) + 1)
+    ratios_all = a / np.sqrt(p)
     m = arcsine()
     print(f"{'x':>12} {'n':>9} {'ks':>12} {'ks*sqrt(n)':>12}")
     for x in xs:
-        ratios = table.ratios()[table.p <= x]
+        ratios = ratios_all[p <= x]
         if ratios.size == 0:
             continue
-        d = ks_distance(empirical_dist(ratios), m)
+        d = ks_distance(ratios, m)
         print(f"{int(x):>12} {ratios.size:>9} {d:>12.3e} "
               f"{d * math.sqrt(ratios.size):>12.4f}")
 

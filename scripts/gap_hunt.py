@@ -11,7 +11,6 @@ import argparse
 
 from heckegaps.equidist_stats import peps_set
 from heckegaps.gap_search import record_gaps
-from heckegaps.gaussian_split import SplitTable
 from heckegaps.measures import density_P_eps
 
 
@@ -24,9 +23,8 @@ def main():
     args = ap.parse_args()
 
     x = int(args.x)
-    table = SplitTable.build(x + 1)
     for eps in args.eps_grid:
-        spec = peps_set(eps, table=table)
+        spec = peps_set(eps)
         recs = record_gaps(spec, x, n_records=args.records)
         head = ", ".join(f"({p},{q})@{g}" for g, p, q in recs)
         print(f"eps={eps:<5} density={density_P_eps(eps):.4f} "

@@ -31,7 +31,6 @@ from .equidist_stats import (
     bv_decay,
     bv_table,
     curve_set,
-    empirical_dist,
     erdos_turan_bound,
     ks_distance,
     peps_set,
@@ -39,10 +38,8 @@ from .equidist_stats import (
 from .gap_search import ScanReport, record_gaps, scan_tuple
 from .gaussian_split import (
     SplitPrime,
-    SplitTable,
     canonical_split,
     cornacchia,
-    hecke_angle,
     in_P_eps,
     peps_cut,
     split_range,
@@ -85,7 +82,6 @@ __all__ = [
     "SetSpec",
     "SieveBasis",
     "SplitPrime",
-    "SplitTable",
     "TraceRecord",
     "TraceStore",
     "VariationalResult",
@@ -108,10 +104,8 @@ __all__ = [
     "density_P_eps",
     "dhl_m",
     "empirical",
-    "empirical_dist",
     "eps_interval",
     "erdos_turan_bound",
-    "hecke_angle",
     "in_P_CI",
     "in_P_eps",
     "is_admissible",

@@ -35,13 +35,12 @@ from .equidist_stats import (
     bv_table,
     curve_set,
     curve_traces,
-    empirical_dist,
     erdos_turan_bound,
     ks_distance,
     peps_set,
 )
 from .gap_search import record_gaps, scan_tuple
-from .gaussian_split import SplitTable, canonical_split, peps_cut, split_range, theta_of
+from .gaussian_split import canonical_split, peps_cut, split_range, theta_of
 from .maynard_sieve import dhl_m, optimize_Mk
 from .prime_engine import count_primes, primes_in
 from .tuples import make_tuple, narrow_tuple
@@ -76,6 +75,10 @@ def _num(s: str) -> int:
 
 def _int_list(s: str) -> list[int]:
     return [_num(t) for t in s.split(",") if t != ""]
+
+
+def _float_list(s: str) -> list[float]:
+    return [float(t) for t in s.split(",")]
 
 
 def _float_pair(s: str) -> tuple[float, float]:
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve-opt", help="Maynard variational lower bound")
     p.add_argument("--k", type=_num, required=True)
     p.add_argument("--degree", type=_num, default=4)
-    p.add_argument("--thetas", type=str, default=None, metavar="t1,t2,...")
+    p.add_argument("--thetas", type=_float_list, default=None, metavar="t1,t2,...")
     _add_common(p)
 
     p = sub.add_parser("gap-scan", help="record gaps / tuple window scans")
@@ -228,10 +231,17 @@ def _cmd_primes(args) -> None:
         _emit(args, "".join(f"{int(p)}\n" for p in ps))
 
 
+def _single_prime(args) -> bool:
+    """True for --p alone, False for --lo and --hi together; else an error."""
+    if args.lo is None and args.hi is None and args.p is not None:
+        return True
+    if args.p is None and args.lo is not None and args.hi is not None:
+        return False
+    raise ValueError("give either --p or both --lo and --hi")
+
+
 def _cmd_split(args) -> None:
-    if (args.p is None) == (args.lo is None or args.hi is None):
-        raise ValueError("give either --p or both --lo and --hi")
-    if args.p is not None:
+    if _single_prime(args):
         s = canonical_split(args.p)
         if args.format == "json":
             if s is None:
@@ -273,12 +283,10 @@ def _cmd_split(args) -> None:
 def _cmd_curve_trace(args) -> None:
     curve = args.curve
     store = TraceStore(curve, args.cache, args.backend)
-    if args.p is not None:
+    if _single_prime(args):
         ps = [args.p]
-    elif args.lo is not None and args.hi is not None:
-        ps = curve_primes(curve, primes_in(args.lo, args.hi))
     else:
-        raise ValueError("give either --p or both --lo and --hi")
+        ps = curve_primes(curve, primes_in(args.lo, args.hi))
     rows = [store.get(q) for q in ps]
     if args.cache:
         store.save()
@@ -307,11 +315,11 @@ def _measure_from_flag(name: str) -> ms.Measure:
 def _cmd_equidist(args) -> None:
     measure = _measure_from_flag(args.measure)
     if args.set == "peps":
-        cut = peps_cut(args.eps)  # checks eps before the table is built
-        tab = SplitTable.build(args.x + 1)
-        keep = cut(tab.p, tab.a)
-        ratios = tab.ratios()[keep]
-        angles = tab.angles()[keep]
+        cut = peps_cut(args.eps)  # checks eps before the sweep
+        p, a, b = split_range(2, args.x + 1)
+        keep = cut(p, a)
+        ratios = (a / np.sqrt(p))[keep]
+        angles = theta_of(a, b)[keep]
     else:
         if args.curve is None:
             raise ValueError("--set curve needs --curve")
@@ -319,7 +327,7 @@ def _cmd_equidist(args) -> None:
         ratios = vals[(vals >= -1.0) & (vals <= 1.0)]
         angles = ratios % 1.0
     if args.stat == "ks":
-        d = ks_distance(empirical_dist(ratios), measure)
+        d = ks_distance(ratios, measure)
         payload = {"n": int(ratios.size), "ks": d, "measure_kind": measure.kind}
         if args.format == "json":
             _emit(args, _json(payload))
@@ -386,9 +394,7 @@ def _cmd_tuple(args) -> None:
 
 def _cmd_sieve_opt(args) -> None:
     res = optimize_Mk(args.k, args.degree)
-    thetas = (
-        [float(t) for t in args.thetas.split(",")] if args.thetas else list(DEFAULT_THETAS)
-    )
+    thetas = args.thetas or list(DEFAULT_THETAS)
     m_tab = [{"theta": t, "m": dhl_m(res.Mk_lower, t)} for t in thetas]
     payload = {"k": res.k, "degree": res.degree,
                "basis_size": len(res.basis.elements),

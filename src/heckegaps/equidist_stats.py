@@ -29,38 +29,28 @@ import numpy as np
 
 from . import measures as ms
 from .diagonal_curve import CurveSpec, _trace, curve_primes, in_P_CI
-from .gaussian_split import SplitTable, in_P_eps, peps_cut, split_range
+from .gaussian_split import in_P_eps, peps_cut, split_range
 from .prime_engine import is_prime, primes_in
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """A finite sample of reals in [-1, 1] (angles in [0, 1) also qualify)."""
+def ks_distance(samples, m: ms.Measure) -> float:
+    """sup_t |F_n(t) - F(t)| with both one-sided limits at every jump.
 
-    samples: np.ndarray
-    count: int
-
-
-def empirical_dist(samples) -> EmpiricalDist:
+    ``samples`` is a one-dimensional sample of reals in [-1, 1] (angles in
+    [0, 1) also qualify).  Works on the collapsed support (unique values with
+    multiplicities) so that tied samples are a single jump of the empirical
+    cdf; the textbook ranked formula would compare F against step heights F_n
+    never attains.
+    """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    if arr.size and (np.abs(arr) > 1.0).any():
-        raise ValueError("samples must lie in [-1, 1]")
-    return EmpiricalDist(samples=arr, count=int(arr.size))
-
-
-def ks_distance(dist: EmpiricalDist, m: ms.Measure) -> float:
-    """sup_t |F_n(t) - F(t)| with both one-sided limits at every jump.
-
-    Works on the collapsed support (unique values with multiplicities) so that
-    tied samples are a single jump of the empirical cdf; the textbook ranked
-    formula would compare F against step heights F_n never attains.
-    """
-    n = dist.count
+    n = arr.size
     if n == 0:
         raise ValueError("ks_distance needs at least one sample")
-    vals, counts = np.unique(dist.samples, return_counts=True)
+    if (np.abs(arr) > 1.0).any():
+        raise ValueError("samples must lie in [-1, 1]")
+    vals, counts = np.unique(arr, return_counts=True)
     post = np.cumsum(counts) / n
     pre = post - counts / n
     F = ms.cdf_vec(m, vals)
@@ -128,21 +118,12 @@ def all_primes_set() -> SetSpec:
     )
 
 
-def peps_set(eps: float, table: Optional[SplitTable] = None) -> SetSpec:
-    """P_eps as a SetSpec.  d_E = 4: the Gaussian field forces odd moduli.
-
-    A precomputed SplitTable avoids re-splitting on repeated queries; ranges
-    beyond its coverage fall back to a fresh sweep.
-    """
+def peps_set(eps: float) -> SetSpec:
+    """P_eps as a SetSpec.  d_E = 4: the Gaussian field forces odd moduli."""
     cut = peps_cut(eps)
 
     def _members(lo: int, hi: int) -> np.ndarray:
-        if table is not None and lo >= 2 and hi <= table.hi:
-            sel = (table.p >= lo) & (table.p < hi)
-            p = table.p[sel]
-            a = table.a[sel]
-        else:
-            p, a, _ = split_range(max(lo, 2), hi)
+        p, a, _ = split_range(max(lo, 2), hi)
         return p[cut(p, a)]
 
     return SetSpec(
@@ -238,8 +219,8 @@ def bv_table(
     along y: O(|members| + q |y_grid|) work and int64 words per modulus.  Ties
     go to the first cell in ascending a, then ascending y.
     """
-    if Q > x:
-        raise ValueError("need Q <= x")
+    if not 1 <= Q <= x:
+        raise ValueError(f"need 1 <= Q <= x, got Q={Q} and x={x}")
     d = set_spec.density if delta is None else delta
     if d is None:
         raise ValueError(f"set {set_spec.label} has no density; pass delta")

@@ -29,17 +29,16 @@ _BULK_LIMIT = 1 << 31
 
 @dataclass(frozen=True)
 class SplitPrime:
-    """A prime with its canonical a^2 + D b^2 decomposition.
+    """A prime with its canonical a^2 + b^2 decomposition.
 
-    theta is the degree-4 Hecke angle in [0, 1), defined only for D = 1.
+    ratio is a/sqrt(p) and theta the degree-4 Hecke angle in [0, 1).
     """
 
     p: int
-    D: int
     a: int
     b: int
     ratio: float
-    theta: Optional[float] = None
+    theta: float
 
 
 def _sqrt_mod(n: int, p: int) -> int:
@@ -146,14 +145,7 @@ def canonical_split(p: int) -> Optional[SplitPrime]:
     a, b = pair  # a odd, b even by the D=1 ordering
     if a % 4 != 1:
         a = -a
-    return SplitPrime(p=p, D=1, a=a, b=b, ratio=a / sqrt(p), theta=float(theta_of(a, b)))
-
-
-def hecke_angle(s: SplitPrime) -> float:
-    """Angle of the canonical degree-4 Hecke character value for Q(i)."""
-    if s.D != 1:
-        raise ValueError("hecke_angle is defined for D = 1 splits only")
-    return s.theta
+    return SplitPrime(p=p, a=a, b=b, ratio=a / sqrt(p), theta=float(theta_of(a, b)))
 
 
 def peps_cut(eps: float):
@@ -173,31 +165,6 @@ def in_P_eps(p: int, eps: float) -> bool:
     cut = peps_cut(eps)
     s = canonical_split(p)
     return s is not None and bool(cut(p, s.a))
-
-
-@dataclass(frozen=True)
-class SplitTable:
-    """Precomputed canonical splits for every p = 1 mod 4 below ``hi``.
-
-    Built once per big sweep and shared; the arrays are the same ones
-    ``split_range`` returns.
-    """
-
-    hi: int
-    p: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    @classmethod
-    def build(cls, hi: int) -> "SplitTable":
-        p, a, b = split_range(2, hi)
-        return cls(hi=hi, p=p, a=a, b=b)
-
-    def ratios(self) -> np.ndarray:
-        return self.a / np.sqrt(self.p)
-
-    def angles(self) -> np.ndarray:
-        return theta_of(self.a, self.b)
 
 
 def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -239,10 +206,8 @@ def split_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e4 = (p - 1) // 4
     r = np.zeros_like(p)
     todo = np.arange(p.size)
-    for cand in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-                 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-                 191, 193, 197, 199):
+    # the least non-residue of p is a prime below sqrt(p) + 1
+    for cand in primes_in(2, isqrt(hi) + 2):
         if todo.size == 0:
             break
         pm = p[todo]
@@ -250,12 +215,6 @@ def split_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         good = t * t % pm == pm - 1
         r[todo[good]] = t[good]
         todo = todo[~good]
-    for i in todo:  # least non-residue beyond 199: essentially unreachable
-        pi = int(p[i])
-        n = 2
-        while pow(n, (pi - 1) // 2, pi) != pi - 1:
-            n += 1
-        r[i] = pow(n, (pi - 1) // 4, pi)
     r = np.where(2 * r < p, p - r, r)
     lim = _isqrt_vec(p)
     a = p.copy()

@@ -31,6 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
+# Largest basis degree accepted.  The float reduction already fails from
+# degree 18 on, and the exact forms take seconds near 30; a degree far beyond
+# would exhaust memory building the basis tuple alone.
+MAX_DEGREE = 30
+
 
 @dataclass(frozen=True)
 class SieveBasis:
@@ -126,6 +131,8 @@ def sieve_basis(k: int, degree: int) -> SieveBasis:
         raise ValueError("k must be >= 2")
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be <= {MAX_DEGREE}")
     elements = tuple(
         (a, b) for b in range(degree // 2 + 1) for a in range(degree - 2 * b + 1)
     )

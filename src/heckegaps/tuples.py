@@ -34,8 +34,15 @@ class AdmissibleTuple:
         return self.witness is None
 
 
+# Offsets stay strictly inside +-2^62, so every difference fits in int64.
+_OFFSET_LIMIT = 1 << 62
+
+
 def _validate_offsets(offsets: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(list(offsets), dtype=np.int64)
+    hs = list(offsets)
+    if any(abs(int(h)) >= _OFFSET_LIMIT for h in hs):
+        raise ValueError("offsets must lie strictly between -2^62 and 2^62")
+    arr = np.asarray(hs, dtype=np.int64)
     if arr.size == 0:
         raise ValueError("need at least one offset")
     if arr.size > 1 and (np.diff(arr) <= 0).any():

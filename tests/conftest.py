@@ -1,5 +1,3 @@
-import time
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -17,17 +15,11 @@ _acceptance_results: dict[int, bool] = {}
 
 @pytest.fixture(scope="session")
 def split_table_1e7():
-    """Full split table up to 10^7, plus its build time in seconds.
+    """``split_range(2, 10^7 + 1)``: the (p, a, b) arrays of every split
+    prime up to 10^7, built once and shared by the acceptance checks."""
+    from heckegaps.gaussian_split import split_range
 
-    Built once; several acceptance checks share it and one of them audits
-    the measured build time against its runtime budget.
-    """
-    from heckegaps.gaussian_split import SplitTable
-
-    t0 = time.perf_counter()
-    table = SplitTable.build(10_000_001)
-    elapsed = time.perf_counter() - t0
-    return table, elapsed
+    return split_range(2, 10_000_001)
 
 
 @pytest.hookimpl(hookwrapper=True)

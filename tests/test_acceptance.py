@@ -24,13 +24,12 @@ from heckegaps.equidist_stats import (
     all_primes_set,
     bv_decay,
     bv_table,
-    empirical_dist,
     erdos_turan_bound,
     ks_distance,
     peps_set,
 )
 from heckegaps.gap_search import record_gaps, scan_tuple
-from heckegaps.gaussian_split import SplitTable, canonical_split
+from heckegaps.gaussian_split import canonical_split, split_range, theta_of
 from heckegaps.maynard_sieve import (
     build_forms,
     dhl_m,
@@ -66,17 +65,17 @@ def test_criterion_01_cornacchia_complete_to_1e7():
 
 @pytest.mark.acceptance(criterion=2)
 def test_criterion_02_arcsine_ks_at_1e7(split_table_1e7):
-    table, _ = split_table_1e7
-    d = ks_distance(empirical_dist(table.ratios()), arcsine())
+    p, a, _ = split_table_1e7
+    d = ks_distance(a / np.sqrt(p), arcsine())
     assert d <= 0.02
 
 
 @pytest.mark.acceptance(criterion=2)
 def test_criterion_02_p_half_fraction(split_table_1e7):
-    table, _ = split_table_1e7
+    p, a, _ = split_table_1e7
     target = mass(arcsine(), (-0.5, 0.5))
     assert target == pytest.approx(1 / 3, abs=1e-12)
-    frac = float(np.mean(np.abs(table.a) <= 0.5 * np.sqrt(table.p)))
+    frac = float(np.mean(np.abs(a) <= 0.5 * np.sqrt(p)))
     assert abs(frac - 1 / 3) <= 0.01
 
 
@@ -147,7 +146,8 @@ def test_criterion_05_erdos_turan_randomized():
 
 @pytest.mark.acceptance(criterion=5)
 def test_criterion_05_erdos_turan_hecke_corpus():
-    angles = SplitTable.build(100_001).angles()
+    _, a, b = split_range(2, 100_001)
+    angles = theta_of(a, b)
     rng = np.random.default_rng(7)
     uni = uniform01()
     intervals = [(0.0, 1.0), (0.0, 0.25), (0.4, 0.6)]
@@ -161,9 +161,8 @@ def test_criterion_05_erdos_turan_hecke_corpus():
 # --- criterion 6: fixed-moduli error table for P_{1/2} --------------------
 
 @pytest.mark.acceptance(criterion=6)
-def test_criterion_06_bv_relative_error(split_table_1e7):
-    table, _ = split_table_1e7
-    spec = peps_set(0.5, table=table)
+def test_criterion_06_bv_relative_error():
+    spec = peps_set(0.5)
     x = 10_000_000
     tab = bv_table(spec, x, 30, y_grid=[x], delta=1 / 6)
     assert [r.q for r in tab.rows] == list(range(1, 31, 2))
@@ -172,9 +171,8 @@ def test_criterion_06_bv_relative_error(split_table_1e7):
 
 
 @pytest.mark.acceptance(criterion=6)
-def test_criterion_06_aggregate_decays(split_table_1e7):
-    table, _ = split_table_1e7
-    spec = peps_set(0.5, table=table)
+def test_criterion_06_aggregate_decays():
+    spec = peps_set(0.5)
     pairs = bv_decay(spec, [100_000, 10_000_000], 30, delta=1 / 6)
     assert pairs[1][1] < pairs[0][1]
 

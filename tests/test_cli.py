@@ -103,14 +103,14 @@ def test_split_range_csv(capsys):
 def _split_window_by_table(lo, hi):
     """`split --lo --hi --format csv` as the whole-table path computes it:
     every split below hi, then the rows with p >= lo."""
-    from heckegaps.gaussian_split import SplitTable, theta_of
+    from heckegaps.gaussian_split import split_range, theta_of
 
     try:
-        tab = SplitTable.build(hi)
+        p, a, b = split_range(2, hi)
     except ValueError:
         return 1, ""
-    sel = tab.p >= lo
-    p, a, b = tab.p[sel], tab.a[sel], tab.b[sel]
+    sel = p >= lo
+    p, a, b = p[sel], a[sel], b[sel]
     ratio, theta = a / np.sqrt(p), theta_of(a, b)
     return 0, "p,a,b,ratio,theta\n" + "".join(
         f"{int(p[i])},{int(a[i])},{int(b[i])},{float(ratio[i])!r},{float(theta[i])!r}\n"
@@ -138,6 +138,18 @@ def test_split_flag_conflict(capsys):
     code, _, err = run_cli(capsys, "split")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd", [("split",), ("curve-trace", "--curve", "1,1,1,3,3")])
+@pytest.mark.parametrize("flags", [
+    (), ("--lo", "2"), ("--hi", "100"), ("--p", "13", "--lo", "2"),
+    ("--p", "13", "--hi", "100"), ("--p", "13", "--lo", "2", "--hi", "100"),
+])
+def test_point_and_window_flags_exclude_each_other(capsys, cmd, flags):
+    # split and curve-trace share one rule: --p alone, or --lo with --hi
+    code, out, err = run_cli(capsys, *cmd, *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: give either --p or both --lo and --hi\n"
 
 
 def test_curve_trace_single(capsys):
@@ -329,6 +341,10 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equidist", "--x", "abc"])
     assert exc.value.code == 2
+    for bad in ("abc", "0.5,x", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["sieve-opt", "--k", "5", "--thetas", bad])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -366,6 +382,15 @@ def test_usage_error_exit_2(capsys):
     (("split", "--p", "318665857834031151167461"), "exact Miller-Rabin range"),
     (("curve-trace", "--curve", "1,1,1,4,2", "--p", "318665857834031151167461"),
      "exact Miller-Rabin range"),
+    # offsets whose differences would not fit in int64
+    (("tuple", "--check", "0,1e19"), "offsets must lie strictly between"),
+    (("gap-scan", "--set", "primes", "--x", "1000", "--tuple", "0,1e19"),
+     "offsets must lie strictly between"),
+    (("tuple", "--check=-9e18,9e18"), "offsets must lie strictly between"),
+    (("sieve-opt", "--k", "5", "--degree", "1e29"), "degree must be <= 30"),
+    (("bv-check", "--set", "primes", "--x", "100", "--Q", "0"), "need 1 <= Q <= x"),
+    (("bv-check", "--set", "primes", "--x", "100", "--Q", "-3"), "need 1 <= Q <= x"),
+    (("sieve-opt", "--k", "5", "--thetas", "1.5"), "theta must lie in (0, 1)"),
 ])
 def test_bad_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -12,7 +12,6 @@ from heckegaps.equidist_stats import (
     bv_rows_csv,
     bv_table,
     default_y_grid,
-    empirical_dist,
     erdos_turan_bound,
     ks_distance,
     peps_set,
@@ -24,15 +23,15 @@ from heckegaps.prime_engine import primes_in
 
 def test_ks_three_point_frozen():
     # sorted {-1, 0, 1} against arcsine: sup gap is 1/3, attained at the ends
-    d = ks_distance(empirical_dist(np.array([-1.0, 0.0, 1.0])), arcsine())
+    d = ks_distance(np.array([-1.0, 0.0, 1.0]), arcsine())
     assert d == pytest.approx(1 / 3)
 
 
 def test_ks_detects_atom():
     # all samples at 0 vs cm mixture (atom 1/2 at 0): D = F(0^-) shifted by atom
     zeros = np.zeros(1000)
-    d_cm = ks_distance(empirical_dist(zeros), cm_mixture())
-    d_arc = ks_distance(empirical_dist(zeros), arcsine())
+    d_cm = ks_distance(zeros, cm_mixture())
+    d_arc = ks_distance(zeros, arcsine())
     assert d_cm == pytest.approx(0.25)
     assert d_arc == pytest.approx(0.5)
 
@@ -42,7 +41,7 @@ def test_ks_quantile_samples_small():
     n = 500
     u = (np.arange(n) + 0.5) / n
     samples = np.sin(math.pi * (u - 0.5))
-    assert ks_distance(empirical_dist(samples), arcsine()) <= 1.0 / n
+    assert ks_distance(samples, arcsine()) <= 1.0 / n
 
 
 @given(
@@ -50,8 +49,18 @@ def test_ks_quantile_samples_small():
              min_size=1, max_size=200)
 )
 def test_ks_bounded(xs):
-    d = ks_distance(empirical_dist(np.array(xs)), arcsine())
+    d = ks_distance(np.array(xs), arcsine())
     assert 0.0 <= d <= 1.0
+
+
+def test_ks_input_checks():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ks_distance(np.zeros((2, 3)), arcsine())
+    for bad in ([0.5, 1.5], [-1.0 - 1e-12]):
+        with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
+            ks_distance(np.array(bad), arcsine())
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_distance(np.array([]), arcsine())
 
 
 def test_erdos_turan_frozen_zero_sequence():
@@ -103,13 +112,6 @@ def test_peps_set_matches_scalar_filter():
     members = s.members(2, 500).tolist()
     want = [int(p) for p in primes_in(2, 500) if in_P_eps(int(p), 0.5)]
     assert members == want
-
-
-def test_peps_set_table_fast_path(split_table_1e7):
-    table, _ = split_table_1e7
-    fast = peps_set(0.5, table=table)
-    slow = peps_set(0.5)
-    assert fast.members(2, 3000).tolist() == slow.members(2, 3000).tolist()
 
 
 def brute_bv_table(spec, x, Q, delta, ys):
@@ -193,8 +195,9 @@ def test_bv_table_ties_go_to_first_class_then_first_y():
 
 def test_bv_table_input_checks():
     spec = all_primes_set()
-    with pytest.raises(ValueError):
-        bv_table(spec, 100, 200)
+    for Q in (200, 0, -3):
+        with pytest.raises(ValueError, match=r"need 1 <= Q <= x, got Q=-?\d+ and x=100"):
+            bv_table(spec, 100, Q)
     with pytest.raises(ValueError):
         bv_table(spec, 100, 5, y_grid=[1])
     with pytest.raises(ValueError):

@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heckegaps.gaussian_split import (
-    SplitTable,
     canonical_split,
     cornacchia,
-    hecke_angle,
     in_P_eps,
     split_range,
     theta_of,
@@ -94,14 +92,7 @@ def test_theta_matches_scalar_angle():
     bulk = theta_of(a, b)
     for i in range(p.size):
         s = canonical_split(int(p[i]))
-        assert hecke_angle(s) == s.theta == bulk[i]
-
-
-def test_hecke_angle_rejects_other_discriminants():
-    from heckegaps.gaussian_split import SplitPrime
-    s = SplitPrime(p=29, D=7, a=1, b=2, ratio=1 / math.sqrt(29))
-    with pytest.raises(ValueError):
-        hecke_angle(s)
+        assert s.theta == bulk[i]
 
 
 def test_in_P_eps_frozen():
@@ -116,18 +107,28 @@ def test_in_P_eps_frozen():
 
 
 def test_split_table_small():
-    t = SplitTable.build(100)
-    assert t.p.tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
-    assert np.all(t.a * t.a + t.b * t.b == t.p)
-    assert np.all(t.a % 4 == 1)
-    assert np.all(t.b > 0)
-    assert np.all(np.abs(t.ratios()) <= 1.0)
-    ang = t.angles()
+    p, a, b = split_range(2, 100)
+    assert p.tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+    assert np.all(a * a + b * b == p)
+    assert np.all(a % 4 == 1)
+    assert np.all(b > 0)
+    assert np.all(np.abs(a / np.sqrt(p)) <= 1.0)
+    ang = theta_of(a, b)
     assert np.all((ang >= 0.0) & (ang < 1.0))
 
 
 def test_split_range_matches_scalar():
     p, a, b = split_range(2, 20000)
+    for i in range(p.size):
+        s = canonical_split(int(p[i]))
+        assert (s.a, s.b) == (int(a[i]), int(b[i]))
+
+
+def test_split_range_matches_scalar_at_bulk_limit():
+    # the top of the int64 bulk range, where (p-1)^2 comes closest to 2^63
+    lo, hi = 2**31 - 20_000, 2**31
+    p, a, b = split_range(lo, hi)
+    assert p.tolist() == [int(q) for q in primes_in(lo, hi) if q % 4 == 1]
     for i in range(p.size):
         s = canonical_split(int(p[i]))
         assert (s.a, s.b) == (int(a[i]), int(b[i]))

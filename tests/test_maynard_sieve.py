@@ -63,6 +63,10 @@ def test_sieve_basis_validation():
         sieve_basis(1, 2)
     with pytest.raises(ValueError):
         sieve_basis(5, -1)
+    assert len(sieve_basis(5, 30).elements) == 256
+    for degree in (31, 10**29):  # refused before any element is built
+        with pytest.raises(ValueError, match="degree must be <= 30"):
+            sieve_basis(5, degree)
 
 
 def test_build_forms_k2_degree0():

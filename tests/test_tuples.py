@@ -46,6 +46,14 @@ def test_offset_validation():
         is_admissible((2, 0))
 
 
+def test_offsets_keep_differences_in_int64():
+    lim = 2**62
+    assert make_tuple([-(lim - 1), lim - 1]).diameter == 2 * lim - 2
+    for bad in ([0, lim], [-lim, 0], [0, 10**19], [-9 * 10**18, 9 * 10**18]):
+        with pytest.raises(ValueError, match="strictly between -2\\^62 and 2\\^62"):
+            make_tuple(bad)
+
+
 def test_make_tuple():
     t = make_tuple((0, 2, 6))
     assert isinstance(t, AdmissibleTuple)
