@@ -259,10 +259,7 @@ def _cmd_split(args) -> None:
             else:
                 _emit(args, f"p={s.p} a={s.a} b={s.b} ratio={s.ratio!r} theta={s.theta!r}\n")
         return
-    # a reversed window still validates --hi, then selects no rows
-    p, a, b = split_range(max(2, min(args.lo, args.hi - 1)), args.hi)
-    sel = p >= args.lo
-    p, a, b = p[sel], a[sel], b[sel]
+    p, a, b = split_range(args.lo, args.hi)
     ratio = a / np.sqrt(p)
     theta = theta_of(a, b)
     if args.format == "json":

@@ -6,10 +6,14 @@ unique, the ratio a/sqrt(p) fills (-1, 1), and the degree-4 character angle is
 
     theta = 4 * arg(a + ib) / (2 pi)  mod 1.
 
-Cornacchia's descent solves a^2 + D b^2 = p for the class-number-one values of
-D, with a deterministic Tonelli-Shanks square root so runs are reproducible.
-``split_range`` is the vectorized bulk path used by the big sweeps; it agrees
-element-for-element with the scalar ``canonical_split``.
+Two paths compute the splits and agree element for element.  The scalar
+``canonical_split`` runs Cornacchia's descent, which solves a^2 + D b^2 = p for
+the class-number-one values of D from a square root of -D mod p: z^((p-1)/4)
+for the least non-residue z when D = 1, a Tonelli-Shanks root otherwise, both
+deterministic so runs are reproducible.  The bulk ``split_range`` behind the
+big sweeps takes no roots: it enumerates the lattice points (a, b) whose norm
+a^2 + b^2 lands in a sieve segment and keeps those the sieve marks prime.  The
+scalar path is its oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .prime_engine import is_prime, primes_in
+from .prime_engine import SEGMENT_ODDS, _check_range, _segments, is_prime
 
-# Bulk splitting is done in int64 with products up to (p-1)^2, so the moduli
-# must stay below 2^31.  Far beyond every sweep in this package.
+# split_range holds lattice points and their norms in int32, so hi <= 2^31.
+# Each segment also spends one row per even b < sqrt(hi): about 23k rows for
+# about 200k points at 2^31, while near 2^40 rows would outnumber points.  Far
+# beyond every sweep in this package.
 _BULK_LIMIT = 1 << 31
 
 
@@ -101,10 +107,19 @@ def _cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
                 return (a, b)
             b += 1
         return None
-    t = (-D) % p
-    if pow(t, (p - 1) // 2, p) != 1:
-        return None
-    r = _sqrt_mod(t, p)
+    if D == 1:
+        # -1 is a square iff p = 1 mod 4; then z^((p-1)/4) is a root of -1
+        # for the least non-residue z, and r < p/2 is flipped below
+        if p % 4 == 3:
+            return None
+        z = 2
+        while (r := pow(z, (p - 1) // 4, p)) * r % p != p - 1:
+            z += 1
+    else:
+        t = (-D) % p
+        if pow(t, (p - 1) // 2, p) != 1:
+            return None
+        r = _sqrt_mod(t, p)
     if 2 * r < p:
         r = p - r
     a, b = p, r
@@ -167,19 +182,6 @@ def in_P_eps(p: int, eps: float) -> bool:
     return s is not None and bool(cut(p, s.a))
 
 
-def _pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp mod `mod` for int64 arrays, mod < 2^31."""
-    result = np.ones_like(mod)
-    b = base % mod
-    e = exp.copy()
-    while e.any():
-        odd = (e & 1).astype(bool)
-        result[odd] = result[odd] * b[odd] % mod[odd]
-        b = b * b % mod
-        e >>= 1
-    return result
-
-
 def _isqrt_vec(n: np.ndarray) -> np.ndarray:
     s = np.sqrt(n.astype(np.float64)).astype(np.int64)
     s = np.where((s + 1) * (s + 1) <= n, s + 1, s)
@@ -189,50 +191,34 @@ def _isqrt_vec(n: np.ndarray) -> np.ndarray:
 def split_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical splits of every p = 1 mod 4 in [lo, hi), vectorized.
 
-    Returns (p, a, b) int64 arrays with a^2 + b^2 = p, a = 1 mod 4, b > 0.
-    This is the workhorse behind the 10^7-scale sweeps; the square root of -1
-    is found as n^((p-1)/4) for the smallest non-residue n (candidates scanned
-    in ascending prime order, which is exactly the smallest non-residue since
-    the least non-residue is always prime), then the usual Euclidean descent
-    runs on all primes at once with masked updates.
+    Returns (p, a, b) int64 arrays, ascending in p, with a^2 + b^2 = p,
+    a = 1 mod 4 and b > 0: element for element what ``canonical_split``
+    gives.  No square root mod p is taken.  Each sieve segment of
+    ``_segments`` lists every lattice point (a odd >= 1, b even >= 2) whose
+    norm a^2 + b^2 falls in it, one row of odd a per b, and keeps the points
+    whose norm the segment flags as prime.  A prime p = 1 mod 4 is the norm
+    of exactly one such point (Z[i] has unique factorization), and every odd
+    norm is 1 mod 4, so the kept points, ordered by norm, are the splits.
     """
     if hi > _BULK_LIMIT:
         raise ValueError("split_range supports hi up to 2^31")
-    ps = primes_in(lo, hi)
-    p = ps[ps % 4 == 1]
-    if p.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
-    e4 = (p - 1) // 4
-    r = np.zeros_like(p)
-    todo = np.arange(p.size)
-    # the least non-residue of p is a prime below sqrt(p) + 1
-    for cand in primes_in(2, isqrt(hi) + 2):
-        if todo.size == 0:
-            break
-        pm = p[todo]
-        t = _pow_mod_vec(np.full(todo.size, cand, dtype=np.int64), e4[todo], pm)
-        good = t * t % pm == pm - 1
-        r[todo[good]] = t[good]
-        todo = todo[~good]
-    r = np.where(2 * r < p, p - r, r)
-    lim = _isqrt_vec(p)
-    a = p.copy()
-    b = r
-    active = b > lim
-    while active.any():
-        aa = a[active]
-        bb = b[active]
-        a[active] = bb
-        b[active] = aa % bb
-        active = b > lim
-    x = b
-    y2 = p - x * x
-    y = _isqrt_vec(y2)
-    if (y * y != y2).any() or (y == 0).any():
-        raise RuntimeError("descent failed to produce a two-square split")
-    odd_first = x % 2 == 1
-    a0 = np.where(odd_first, x, y)
-    b0 = np.where(odd_first, y, x)
-    a0 = np.where(a0 % 4 == 1, a0, -a0)
-    return p, a0, b0
+    _check_range(lo, hi)
+    rows = [np.empty((3, 0), dtype=np.int32)]
+    for seg_lo, buf in _segments(lo, hi, SEGMENT_ODDS):
+        top = seg_lo + 2 * (buf.size - 1)  # the last odd number of the segment
+        b = np.arange(2, isqrt(top - 1) + 1, 2, dtype=np.int64)
+        b2 = b * b
+        # odd a from ceil(sqrt(seg_lo - b^2)) up to isqrt(top - b^2)
+        a_lo = (_isqrt_vec(np.maximum(seg_lo - b2, 1) - 1) + 1) | 1
+        a_hi = (_isqrt_vec(top - b2) - 1) | 1
+        count = np.maximum((a_hi - a_lo) // 2 + 1, 0)
+        first = np.cumsum(count) - count  # index of each row's first point
+        a = (np.repeat((a_lo - 2 * first).astype(np.int32), count)
+             + 2 * np.arange(count.sum(), dtype=np.int32))
+        b = np.repeat(b.astype(np.int32), count)
+        j = (a * a + np.repeat((b2 - seg_lo).astype(np.int32), count)) >> 1
+        kept = np.flatnonzero(buf[j])  # buf[j] says whether seg_lo + 2 j is prime
+        kept = kept[np.argsort(j[kept])]
+        rows.append(np.stack((seg_lo + 2 * j[kept], a[kept], b[kept])))
+    p, a, b = np.concatenate(rows, axis=1).astype(np.int64)
+    return p, np.where(a % 4 == 1, a, -a), b

@@ -8,6 +8,7 @@ strict: exact output, stable ordering, no probabilistic behaviour.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 
 import numpy as np
@@ -20,14 +21,26 @@ SEGMENT_ODDS = 1 << 19
 # Upper bound accepted for range endpoints.
 RANGE_LIMIT = 1 << 50
 
-# Deterministic Miller-Rabin witnesses, a verified base set for all n < 2^64
-# (the first twelve primes).  Fixed so results are reproducible everywhere.
+# Deterministic Miller-Rabin witnesses: the first twelve primes, fixed so
+# results are reproducible everywhere.  _PSI[k - 1] is psi_k, the least strong
+# pseudoprime to the first k bases (OEIS A014233): below it those k bases alone
+# prove primality.  psi_2..psi_4 are from C. Pomerance, J. L. Selfridge and
+# S. S. Wagstaff, "The pseudoprimes to 25 * 10^9", Math. Comp. 35 (1980);
+# psi_5..psi_8 from G. Jaeschke, "On strong pseudoprimes to several bases",
+# Math. Comp. 61 (1993); psi_9..psi_11 from Y. Jiang and Y. Deng, "Strong
+# pseudoprimes to the first eight prime bases", Math. Comp. 83 (2014).
+# psi_12 > 2^64 (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)) makes all twelve a proof below 2^64.
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 2^64.
 
+    n < psi_k is tested with the first k ``MR_BASES`` only (k <= 12).
     Larger n raise ValueError: the twelve bases are only a proof below 2^64,
     and composites above it pass all of them.
     """
@@ -42,7 +55,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in MR_BASES:
+    for a in MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -102,9 +102,12 @@ def test_split_range_csv(capsys):
 
 def _split_window_by_table(lo, hi):
     """`split --lo --hi --format csv` as the whole-table path computes it:
-    every split below hi, then the rows with p >= lo."""
+    every split below hi, then the rows with p >= lo.  A window outside
+    2 <= lo < hi is refused, as `primes` and `curve-trace` refuse it."""
     from heckegaps.gaussian_split import split_range, theta_of
 
+    if not 2 <= lo < hi:
+        return 1, ""
     try:
         p, a, b = split_range(2, hi)
     except ValueError:
@@ -391,6 +394,10 @@ def test_usage_error_exit_2(capsys):
     (("bv-check", "--set", "primes", "--x", "100", "--Q", "0"), "need 1 <= Q <= x"),
     (("bv-check", "--set", "primes", "--x", "100", "--Q", "-3"), "need 1 <= Q <= x"),
     (("sieve-opt", "--k", "5", "--thetas", "1.5"), "theta must lie in (0, 1)"),
+    # one window rule for every subcommand that takes --lo and --hi
+    (("split", "--lo", "100", "--hi", "50"), "invalid range"),
+    (("curve-trace", "--curve", "1,1,1,3,3", "--lo", "100", "--hi", "50"), "invalid range"),
+    (("primes", "--lo", "100", "--hi", "50"), "invalid range"),
 ])
 def test_bad_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heckegaps import gaussian_split
 from heckegaps.gaussian_split import (
     canonical_split,
     cornacchia,
@@ -12,7 +14,7 @@ from heckegaps.gaussian_split import (
     split_range,
     theta_of,
 )
-from heckegaps.prime_engine import primes_in
+from heckegaps.prime_engine import SEGMENT_ODDS, primes_in
 
 SPLIT_PRIMES_BELOW_1000 = [int(p) for p in primes_in(2, 1000) if p % 4 == 1]
 
@@ -132,6 +134,45 @@ def test_split_range_matches_scalar_at_bulk_limit():
     for i in range(p.size):
         s = canonical_split(int(p[i]))
         assert (s.a, s.b) == (int(a[i]), int(b[i]))
+
+
+def test_split_range_pinned_to_1e6():
+    # sha256 of the p, a, b int64 bytes as an independent method computed
+    # them: a Euclidean descent from a square root of -1 mod p
+    p, a, b = split_range(2, 10**6 + 1)
+    digest = hashlib.sha256(b"".join(x.astype("<i8").tobytes() for x in (p, a, b)))
+    assert digest.hexdigest() == (
+        "327b52885f7a3f486225d1e9544fd73237dd26775cf42879eee655a92cb074c3")
+
+
+@pytest.mark.parametrize("lo", [2, 10**6, 2**31 - 3 * SEGMENT_ODDS])
+@pytest.mark.parametrize("past", [-2, -1, 0, 1, 2, 3001])
+def test_split_range_across_segment_seam(lo, past):
+    # the first segment of [lo, hi) ends at lo + 2 * SEGMENT_ODDS (odd lo)
+    seam = (max(lo, 3) | 1) + 2 * SEGMENT_ODDS
+    hi = seam + past
+    p, a, b = split_range(lo, hi)
+    assert p.dtype == a.dtype == b.dtype == np.int64
+    assert p.tolist() == [int(q) for q in primes_in(lo, hi) if q % 4 == 1]
+    near = np.flatnonzero(p >= seam - 3000)
+    assert near.size > 50
+    for i in near:
+        s = canonical_split(int(p[i]))
+        assert (s.a, s.b) == (int(a[i]), int(b[i]))
+
+
+def test_split_range_tiny_segments(monkeypatch):
+    # segments shorter than a row of lattice points, and empty ones
+    want = split_range(2, 30_000)
+    monkeypatch.setattr(gaussian_split, "SEGMENT_ODDS", 7)
+    got = split_range(2, 30_000)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 5), (7, 8), (10**6 + 3, 10**6 + 4)])
+def test_split_range_empty_windows(lo, hi):
+    for x in split_range(lo, hi):
+        assert x.dtype == np.int64 and x.shape == (0,)
 
 
 @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=100, max_value=3000))

@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,58 @@ def test_is_prime_refuses_beyond_2_64():
         with pytest.raises(ValueError, match="exact Miller-Rabin range"):
             is_prime(n)
 
+
+
+# psi_k for k = 1..11 (OEIS A014233), each value once
+DISTINCT_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                3474749660383, 341550071728321, 3825123056546413051)
+
+
+def reference_is_prime(n: int) -> bool:
+    """Textbook strong-probable-prime test to all twelve bases 2 .. 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_rejects_every_psi():
+    # psi_k passes the first k bases, so fewer bases than is_prime uses at
+    # psi_k itself would call it prime
+    for psi in DISTINCT_PSI:
+        assert not is_prime(psi)
+
+
+@pytest.mark.parametrize("psi", [v for v in DISTINCT_PSI if v < 1 << 50])
+def test_is_prime_agrees_with_sieve_around_psi(psi):
+    # the base count changes at psi: both sides of it, against the sieve
+    lo, hi = max(2, psi - 10**4), psi + 10**4
+    assert [n for n in range(lo, hi) if is_prime(n)] == primes_in(lo, hi).tolist()
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=1, max_value=64).flatmap(
+    lambda e: st.integers(min_value=1 << (e - 1), max_value=(1 << e) - 1)))
+def test_is_prime_agrees_with_twelve_bases_and_sympy(n):
+    n |= 1  # odd, and still below 2^64
+    assert is_prime(n) == reference_is_prime(n) == sympy.isprime(n)
 
 
 def test_segment_boundaries_consistent():
