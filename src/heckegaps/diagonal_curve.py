@@ -460,7 +460,7 @@ def load_trace_cache(path, curve: CurveSpec) -> list[TraceRecord]:
         if p <= prev_p:
             raise CacheFormatError(f"line {idx}: primes not strictly ascending")
         rec = _record(curve, p, n_d, affine)
-        if n_d not in (0, curve.d) or tr != rec.trace:
+        if n_d not in ((1,) if curve.d == 1 else (0, curve.d)) or tr != rec.trace:
             raise CacheFormatError(f"line {idx}: inconsistent record for p={p}")
         prev_p = p
         out.append(rec)

@@ -7,9 +7,10 @@ unique, the ratio a/sqrt(p) fills (-1, 1), and the degree-4 character angle is
     theta = 4 * arg(a + ib) / (2 pi)  mod 1.
 
 Two paths compute the splits and agree element for element.  The scalar
-``canonical_split`` runs Cornacchia's descent, which solves a^2 + D b^2 = p for
-the class-number-one values of D from a square root of -D mod p: z^((p-1)/4)
-for the least non-residue z when D = 1, a Tonelli-Shanks root otherwise, both
+``canonical_split`` runs Cornacchia's descent, which solves a^2 + D b^2 = p in
+the two CM fields of the package, Z[i] (D = 1) and Z[omega] (D = 3), from one
+root-of-unity step: w = z^((p-1)/m) for the least z that makes w a primitive
+m-th root of unity gives sqrt(-1) = w (m = 4) or sqrt(-3) = 2w + 1 (m = 3),
 deterministic so runs are reproducible.  The bulk ``split_range`` behind the
 big sweeps takes no roots: it enumerates the lattice points (a, b) whose norm
 a^2 + b^2 lands in a sieve segment and keeps those the sieve marks prime.  The
@@ -47,82 +48,33 @@ class SplitPrime:
     theta: float
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """A square root of n modulo an odd prime p (n assumed to be a residue).
-
-    Tonelli-Shanks with the non-residue found by ascending scan from 2, so the
-    same input always yields the same root.
-    """
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
     """Solve a^2 + D b^2 = p with a, b > 0, or None when no solution exists.
 
-    For D = 1 the returned pair is ordered (odd, even).  Small p fall back to
-    direct search; otherwise the classical descent runs from a square root of
-    -D taken in (p/2, p).
+    D is 1 or 3 (Z[i] and Z[omega]), where the pair is unique; for D = 1 it
+    is ordered (odd, even).
     """
-    if not 1 <= D <= 163:
-        raise ValueError("D must lie in [1, 163]")
+    if D not in (1, 3):
+        raise ValueError("D must be 1 or 3")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _cornacchia(p, D)
 
 
 def _cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
-    """``cornacchia`` for a prime p and 1 <= D <= 163 the caller has checked."""
-    if p == 2 or p <= D:
-        # tiny or degenerate cases: exhaustive over b
-        b = 1
-        while D * b * b < p:
-            a2 = p - D * b * b
-            a = isqrt(a2)
-            if a * a == a2:
-                if D == 1 and a % 2 == 0:
-                    a, b = b, a
-                return (a, b)
-            b += 1
+    """``cornacchia`` for a prime p and D in {1, 3} the caller has checked."""
+    if p == 2:
+        return (1, 1) if D == 1 else None
+    m = 4 if D == 1 else 3
+    if p % m != 1:
         return None
-    if D == 1:
-        # -1 is a square iff p = 1 mod 4; then z^((p-1)/4) is a root of -1
-        # for the least non-residue z, and r < p/2 is flipped below
-        if p % 4 == 3:
-            return None
-        z = 2
-        while (r := pow(z, (p - 1) // 4, p)) * r % p != p - 1:
-            z += 1
-    else:
-        t = (-D) % p
-        if pow(t, (p - 1) // 2, p) != 1:
-            return None
-        r = _sqrt_mod(t, p)
-    if 2 * r < p:
-        r = p - r
-    a, b = p, r
+    # the least z >= 2 with w^2 != 1 makes w a primitive m-th root of unity:
+    # sqrt(-1) = w, or sqrt(-3) = 2w + 1 as (2w + 1)^2 = 4(w^2 + w + 1) - 3.
+    # Either sign serves: the descent from p - r > p/2 steps to r.
+    z = 2
+    while (w := pow(z, (p - 1) // m, p)) * w % p == 1:
+        z += 1
+    a, b = p, (w if D == 1 else (2 * w + 1) % p)
     lim = isqrt(p)
     while b > lim:
         a, b = b, a % b
@@ -176,10 +128,14 @@ def peps_cut(eps: float):
 
 
 def in_P_eps(p: int, eps: float) -> bool:
-    """Membership in P_eps = {p = a^2 + b^2 : |a| <= eps * sqrt(p)}."""
+    """Membership in P_eps = {p = a^2 + b^2 : |a| <= eps * sqrt(p)}.
+
+    False for every other integer, composites and n < 2 included.
+    """
     cut = peps_cut(eps)
-    s = canonical_split(p)
-    return s is not None and bool(cut(p, s.a))
+    if not is_prime(p) or p % 4 != 1:
+        return False
+    return bool(cut(p, _cornacchia(p, 1)[0]))
 
 
 def _isqrt_vec(n: np.ndarray) -> np.ndarray:

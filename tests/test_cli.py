@@ -176,6 +176,16 @@ def test_curve_trace_range_with_cache(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_curve_trace_refuses_forged_cache(tmp_path, capsys):
+    # N_d = 0 on the d = 1 curve y^2 = x^5 + 1 is a value trace never writes
+    cache = tmp_path / "c.csv"
+    cache.write_text("# curve 1,-1,-1,5,2\n11,0,7,5\n")
+    code, out, err = run_cli(capsys, "curve-trace", "--curve", "1,-1,-1,5,2",
+                             "--lo", "2", "--hi", "100", "--cache", str(cache))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: inconsistent record for p=11\n"
+
+
 def test_curve_trace_charsum_backend(capsys):
     code, out, _ = run_cli(capsys, "curve-trace", "--curve", "1,1,1,3,3",
                            "--p", "13", "--backend", "charsum", "--format", "csv")

@@ -372,6 +372,20 @@ def test_cache_rejects_inconsistent_row(tmp_path):
         load_trace_cache(path, CUBIC)
 
 
+def test_cache_rejects_impossible_nd(tmp_path):
+    # on a d = 1 curve N_d is always 1: a row with N_d = 0 whose fields add up
+    # (5 = 11 + 1 - 0 - 7) would pass for the true trace 4 at p = 11
+    assert (nd(HYPER, 11), trace(HYPER, 11).trace) == (1, 4)
+    path = tmp_path / "forged.csv"
+    path.write_text("# curve 1,-1,-1,5,2\n11,0,7,5\n")
+    with pytest.raises(CacheFormatError):
+        load_trace_cache(path, HYPER)
+    # and N_d = 1 on a d = 3 curve, where N_d is 0 or 3
+    path.write_text("# curve 1,1,1,3,3\n7,1,6,1\n")
+    with pytest.raises(CacheFormatError):
+        load_trace_cache(path, CUBIC)
+
+
 def test_trace_store(tmp_path):
     path = tmp_path / "store.csv"
     store = TraceStore(CUBIC, path)

@@ -11,11 +11,13 @@ from heckegaps.equidist_stats import (
     bv_decay,
     bv_rows_csv,
     bv_table,
+    curve_set,
     default_y_grid,
     erdos_turan_bound,
     ks_distance,
     peps_set,
 )
+from heckegaps.diagonal_curve import curve_new
 from heckegaps.gaussian_split import canonical_split, in_P_eps
 from heckegaps.measures import arcsine, cm_mixture, uniform01
 from heckegaps.prime_engine import primes_in
@@ -112,6 +114,19 @@ def test_peps_set_matches_scalar_filter():
     members = s.members(2, 500).tolist()
     want = [int(p) for p in primes_in(2, 500) if in_P_eps(int(p), 0.5)]
     assert members == want
+
+
+@pytest.mark.parametrize("spec", [
+    all_primes_set(),
+    peps_set(0.5),
+    peps_set(1.0),
+    curve_set(curve_new(1, 1, 1, 3, 3), (-0.5, 0.5)),
+], ids=lambda spec: spec.label)
+def test_contains_agrees_with_members(spec):
+    # one membership rule for every integer: composites and n < 2 are out
+    lo, hi = -5, 1000
+    members = set(spec.members(lo, hi).tolist())
+    assert [n for n in range(lo, hi) if spec.contains(n)] == sorted(members)
 
 
 def brute_bv_table(spec, x, Q, delta, ys):

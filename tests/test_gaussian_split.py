@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.solvers.diophantine.diophantine import cornacchia as sympy_cornacchia
 
 from heckegaps import gaussian_split
 from heckegaps.gaussian_split import (
@@ -37,27 +39,58 @@ def test_cornacchia_frozen_values():
     assert cornacchia(29, 1) == (5, 2)
     assert cornacchia(2, 1) == (1, 1)
     assert cornacchia(7, 1) is None
-    assert cornacchia(29, 7) == (1, 2)   # 1 + 7*4 = 29
+    assert cornacchia(7, 3) == (2, 1)    # 4 + 3*1 = 7
     assert cornacchia(31, 3) == (2, 3)   # 4 + 3*9 = 31
     assert cornacchia(11, 3) is None     # 11 = x^2+3y^2 has no solution
+    assert cornacchia(2, 3) is None
+    assert cornacchia(3, 3) is None      # 3 = 0^2 + 3*1^2 only, and a > 0
 
 
 def test_cornacchia_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        cornacchia(13, 0)
-    with pytest.raises(ValueError):
-        cornacchia(13, 164)
+    # only D = 1 and D = 3, the fields Z[i] and Z[omega], are served
+    for D in (0, 2, 7, 163, 164):
+        with pytest.raises(ValueError):
+            cornacchia(13, D)
     with pytest.raises(ValueError):
         cornacchia(15, 1)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 7, 11, 19, 43, 67, 163])
 def test_cornacchia_solutions_verify(D):
-    for p in primes_in(2, 500):
-        got = cornacchia(int(p), D)
-        if got is not None:
-            a, b = got
-            assert a * a + D * b * b == p
+    for p in map(int, primes_in(2, 500)):
+        if D in (1, 3):
+            got = cornacchia(p, D)
+            assert got is None or got[0] ** 2 + D * got[1] ** 2 == p
+        else:  # the other class-number-one D are not served
+            with pytest.raises(ValueError):
+                cornacchia(p, D)
+
+
+@pytest.mark.parametrize("D", [1, 3])
+def test_cornacchia_matches_exhaustive_search_below_1e5(D):
+    # every (a, b) with a, b > 0 and a^2 + D b^2 < hi, keyed by the norm;
+    # D = 1 pairs are kept in the (odd, even) order cornacchia returns
+    hi = 10**5
+    found = {}
+    for b in range(1, math.isqrt((hi - 2) // D) + 1):
+        for a in range(1, math.isqrt(hi - 1 - D * b * b) + 1):
+            if D == 3 or a % 2:
+                found.setdefault(a * a + D * b * b, []).append((a, b))
+    for p in map(int, primes_in(2, hi)):
+        want = found.get(p, [])
+        assert len(want) <= 1
+        assert cornacchia(p, D) == (want[0] if want else None)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, 3]), st.integers(min_value=2, max_value=64).flatmap(
+    lambda e: st.integers(min_value=1 << (e - 1), max_value=(1 << e) - 1)))
+def test_cornacchia_agrees_with_sympy_below_2_64(D, n):
+    p = sympy.prevprime(n + 1)  # the largest prime <= n
+    got = cornacchia(p, D)
+    key = frozenset if D == 1 else tuple  # sympy orders D = 1 pairs differently
+    want = {key(s) for s in sympy_cornacchia(1, D, p) if min(s) > 0}
+    assert want == ({key(got)} if got else set())
 
 
 def test_canonical_split_frozen():
@@ -106,6 +139,16 @@ def test_in_P_eps_frozen():
         in_P_eps(5, 0.0)
     with pytest.raises(ValueError):
         in_P_eps(5, 1.5)
+
+
+def test_in_P_eps_false_off_the_primes():
+    # composites and n < 2 are not members, as for the other prime sets
+    for n in (-5, 0, 1, 9, 21, 25, 65, 2**62 + 1):
+        assert not in_P_eps(n, 1.0)
+    with pytest.raises(ValueError):
+        in_P_eps(9, 0.0)             # a bad eps still raises
+    with pytest.raises(ValueError):
+        in_P_eps(2**64 + 1, 1.0)     # beyond the exact primality range
 
 
 def test_split_table_small():
