@@ -3,10 +3,13 @@
 All parameters are flags with documented defaults (no configuration file), so
 published command lines reproduce exactly.  Integer flags are parsed exactly
 and accept scientific notation with an integral value (`--x 1e6`, not `2.9`).
-Output is text, CSV, or JSON; JSON objects are emitted with sorted keys and
-runs are deterministic given identical flags, regardless of the `--threads`
-cap (the current implementation is sequential; the flag caps hypothetical
-workers and never changes results).
+Every subcommand hands its result to one writer, `_write`: a JSON payload, a
+CSV header with its rows, and optionally a text rendering.  `--format json`
+writes the payload with sorted keys; `csv` writes the header, then one line
+per row (floats by repr, None as an empty field); `text` writes the rendering,
+or for a table the CSV lines without the header.  `--output` sends the same
+bytes to a file.  Runs are deterministic given identical flags.  They are
+sequential today: `--threads` must be >= 1 and never changes output.
 
 Exit codes: 0 success, 1 computation error (diagnostic on stderr), 2 usage.
 """
@@ -24,6 +27,7 @@ from . import measures as ms
 from .diagonal_curve import (
     CurveSpec,
     TraceStore,
+    _check_table_sizes,
     curve_new,
     curve_primes,
     eps_interval,
@@ -31,7 +35,6 @@ from .diagonal_curve import (
 from .equidist_stats import (
     SetSpec,
     all_primes_set,
-    bv_rows_csv,
     bv_table,
     curve_set,
     curve_traces,
@@ -101,12 +104,9 @@ def _curve_arg(s: str) -> CurveSpec:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sp.add_argument("--output", default=None, help="write here instead of stdout")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker parallelism; results never depend on it",
-    )
+    sp.add_argument("--threads", type=int, default=1,
+                    help="must be >= 1; runs are sequential today, so it never "
+                    "changes output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,16 +188,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(args, text: str) -> None:
+def _cell(v) -> str:
+    """One CSV field: repr for a float, empty for None, str for anything else."""
+    if isinstance(v, float):
+        return repr(v)
+    return "" if v is None else str(v)
+
+
+def _write(args, payload: dict, header: str, rows, text: str | None = None) -> None:
+    """The one output path of every subcommand.
+
+    json writes ``payload`` with sorted keys; csv writes ``header``, then one
+    line of ``_cell`` fields per row; text writes ``text``, or for a table the
+    csv lines without the header.  ``rows`` is read only for csv and text.
+    """
+    if args.format == "json":
+        out = json.dumps(payload, sort_keys=True) + "\n"
+    elif args.format == "text" and text is not None:
+        out = text
+    else:
+        out = "".join(",".join(map(_cell, r)) + "\n" for r in rows)
+        if args.format == "csv":
+            out = header + "\n" + out
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(out)
     else:
-        sys.stdout.write(text)
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+        sys.stdout.write(out)
 
 
 def _make_set(args) -> SetSpec:
@@ -213,22 +230,12 @@ def _make_set(args) -> SetSpec:
 def _cmd_primes(args) -> None:
     if args.count_only:
         n = count_primes(args.lo, args.hi)
-        payload = {"lo": args.lo, "hi": args.hi, "count": n}
-        if args.format == "json":
-            _emit(args, _json(payload))
-        elif args.format == "csv":
-            _emit(args, f"lo,hi,count\n{args.lo},{args.hi},{n}\n")
-        else:
-            _emit(args, f"count {n}\n")
+        _write(args, {"lo": args.lo, "hi": args.hi, "count": n}, "lo,hi,count",
+               [(args.lo, args.hi, n)], f"count {n}\n")
         return
-    ps = primes_in(args.lo, args.hi)
-    if args.format == "json":
-        _emit(args, _json({"lo": args.lo, "hi": args.hi, "count": int(ps.size),
-                           "primes": [int(p) for p in ps]}))
-    elif args.format == "csv":
-        _emit(args, "p\n" + "".join(f"{int(p)}\n" for p in ps))
-    else:
-        _emit(args, "".join(f"{int(p)}\n" for p in ps))
+    ps = primes_in(args.lo, args.hi).tolist()
+    _write(args, {"lo": args.lo, "hi": args.hi, "count": len(ps), "primes": ps}, "p",
+           ((p,) for p in ps))
 
 
 def _single_prime(args) -> bool:
@@ -241,40 +248,25 @@ def _single_prime(args) -> bool:
 
 
 def _cmd_split(args) -> None:
+    keys = ("p", "a", "b", "ratio", "theta")
     if _single_prime(args):
         s = canonical_split(args.p)
-        if args.format == "json":
-            if s is None:
-                _emit(args, _json({"p": args.p, "representable": False}))
-            else:
-                _emit(args, _json({"p": s.p, "representable": True, "a": s.a,
-                                   "b": s.b, "ratio": s.ratio, "theta": s.theta}))
-        elif args.format == "csv":
-            _emit(args, "p,a,b,ratio,theta\n" + (
-                f"{args.p},,,,\n" if s is None
-                else f"{s.p},{s.a},{s.b},{s.ratio!r},{s.theta!r}\n"))
+        if s is None:
+            row = (args.p, None, None, None, None)
+            text = f"p={args.p} not representable (p % 4 != 1)\n"
         else:
-            if s is None:
-                _emit(args, f"p={args.p} not representable (p % 4 != 1)\n")
-            else:
-                _emit(args, f"p={s.p} a={s.a} b={s.b} ratio={s.ratio!r} theta={s.theta!r}\n")
+            row = (s.p, s.a, s.b, s.ratio, s.theta)
+            text = f"p={s.p} a={s.a} b={s.b} ratio={s.ratio!r} theta={s.theta!r}\n"
+        payload = {k: v for k, v in zip(keys, row) if v is not None}
+        payload["representable"] = s is not None
+        _write(args, payload, ",".join(keys), [row], text)
         return
     p, a, b = split_range(args.lo, args.hi)
-    ratio = a / np.sqrt(p)
-    theta = theta_of(a, b)
-    if args.format == "json":
-        _emit(args, _json({"lo": args.lo, "hi": args.hi, "count": int(p.size),
-                           "rows": [
-                               {"p": int(p[i]), "a": int(a[i]), "b": int(b[i]),
-                                "ratio": float(ratio[i]), "theta": float(theta[i])}
-                               for i in range(p.size)]}))
-    else:
-        head = "p,a,b,ratio,theta\n" if args.format == "csv" else ""
-        body = "".join(
-            f"{int(p[i])},{int(a[i])},{int(b[i])},{float(ratio[i])!r},{float(theta[i])!r}\n"
-            for i in range(p.size)
-        )
-        _emit(args, head + body)
+    cols = (p.tolist(), a.tolist(), b.tolist(), (a / np.sqrt(p)).tolist(),
+            theta_of(a, b).tolist())
+    _write(args, {"lo": args.lo, "hi": args.hi, "count": p.size,
+                  "rows": [dict(zip(keys, r)) for r in zip(*cols)]},
+           ",".join(keys), zip(*cols))
 
 
 def _cmd_curve_trace(args) -> None:
@@ -284,33 +276,22 @@ def _cmd_curve_trace(args) -> None:
         ps = [args.p]
     else:
         ps = curve_primes(curve, primes_in(args.lo, args.hi))
-    rows = [store.get(q) for q in ps]
+        _check_table_sizes(curve, [q for q in ps if q not in store.records], args.backend)
+    rows = [(r.p, r.nd, r.affine_count, r.trace, r.normalized) for r in map(store.get, ps)]
     if args.cache:
         store.save()
-    if args.format == "json":
-        _emit(args, _json({"curve": [curve.a, curve.b, curve.c, curve.alpha, curve.beta],
-                           "d": curve.d, "M": curve.M, "g": curve.g,
-                           "rows": [{"p": r.p, "nd": r.nd, "affine": r.affine_count,
-                                     "trace": r.trace, "normalized": r.normalized}
-                                    for r in rows]}))
-    else:
-        head = "p,nd,affine_count,trace,normalized\n" if args.format == "csv" else ""
-        body = "".join(
-            f"{r.p},{r.nd},{r.affine_count},{r.trace},{r.normalized!r}\n" for r in rows
-        )
-        _emit(args, head + body)
+    keys = ("p", "nd", "affine", "trace", "normalized")
+    _write(args, {"curve": [curve.a, curve.b, curve.c, curve.alpha, curve.beta],
+                  "d": curve.d, "M": curve.M, "g": curve.g,
+                  "rows": [dict(zip(keys, r)) for r in rows]},
+           "p,nd,affine_count,trace,normalized", rows)
 
 
-def _measure_from_flag(name: str) -> ms.Measure:
-    if name == "arcsine":
-        return ms.arcsine()
-    if name == "cm":
-        return ms.cm_mixture()
-    return ms.uniform01()
+_MEASURES = {"arcsine": ms.arcsine, "cm": ms.cm_mixture, "uniform": ms.uniform01}
 
 
 def _cmd_equidist(args) -> None:
-    measure = _measure_from_flag(args.measure)
+    measure = _MEASURES[args.measure]()
     if args.set == "peps":
         cut = peps_cut(args.eps)  # checks eps before the sweep
         p, a, b = split_range(2, args.x + 1)
@@ -323,129 +304,89 @@ def _cmd_equidist(args) -> None:
         _, vals = curve_traces(args.curve, 2, args.x + 1)
         ratios = vals[(vals >= -1.0) & (vals <= 1.0)]
         angles = ratios % 1.0
+    kind = measure.kind
     if args.stat == "ks":
-        d = ks_distance(ratios, measure)
-        payload = {"n": int(ratios.size), "ks": d, "measure_kind": measure.kind}
-        if args.format == "json":
-            _emit(args, _json(payload))
-        elif args.format == "csv":
-            _emit(args, "n,ks,measure_kind\n"
-                  f"{payload['n']},{d!r},{measure.kind}\n")
-        else:
-            _emit(args, f"n={payload['n']} ks={d!r} measure={measure.kind}\n")
+        n, d = ratios.size, ks_distance(ratios, measure)
+        payload = {"n": n, "ks": d, "measure_kind": kind}
+        header, row = "n,ks,measure_kind", (n, d, kind)
+        text = f"n={n} ks={d!r} measure={kind}\n"
     else:
-        lhs, rhs = erdos_turan_bound(angles, args.interval, measure, args.T)
-        payload = {"n": int(angles.size), "interval": list(args.interval),
-                   "T": args.T, "lhs": lhs, "rhs": rhs,
-                   "measure_kind": measure.kind}
-        if args.format == "json":
-            _emit(args, _json(payload))
-        elif args.format == "csv":
-            _emit(args, "n,interval_lo,interval_hi,T,lhs,rhs\n"
-                  f"{payload['n']},{args.interval[0]!r},{args.interval[1]!r},"
-                  f"{args.T},{lhs!r},{rhs!r}\n")
-        else:
-            _emit(args, f"n={payload['n']} interval=[{args.interval[0]!r},"
-                  f"{args.interval[1]!r}] T={args.T} lhs={lhs!r} rhs={rhs!r}\n")
+        (lo, hi), T = args.interval, args.T
+        n, (lhs, rhs) = angles.size, erdos_turan_bound(angles, args.interval, measure, T)
+        payload = {"n": n, "interval": [lo, hi], "T": T, "lhs": lhs, "rhs": rhs,
+                   "measure_kind": kind}
+        header, row = "n,interval_lo,interval_hi,T,lhs,rhs", (n, lo, hi, T, lhs, rhs)
+        text = f"n={n} interval=[{lo!r},{hi!r}] T={T} lhs={lhs!r} rhs={rhs!r}\n"
+    _write(args, payload, header, [row], text)
 
 
 def _cmd_bv(args) -> None:
-    spec = _make_set(args)
-    table = bv_table(spec, args.x, args.Q, y_grid=args.y_grid, delta=args.delta)
-    if args.format == "json":
-        _emit(args, _json({
-            "label": table.label, "x": table.x, "Q": table.Q,
-            "delta": table.delta, "aggregate": table.aggregate,
-            "rows": [{"q": r.q, "worst_a": r.worst_a, "worst_y": r.worst_y,
-                      "observed": r.observed, "expected": r.expected,
-                      "abs_err": r.abs_err} for r in table.rows]}))
-    elif args.format == "csv":
-        _emit(args, bv_rows_csv(table))
-    else:
-        lines = [f"set {table.label} x={table.x} Q={table.Q} delta={table.delta!r}"]
-        for r in table.rows:
-            lines.append(f"q={r.q} worst_a={r.worst_a} worst_y={r.worst_y} "
-                         f"obs={r.observed} exp={r.expected!r} err={r.abs_err!r}")
-        lines.append(f"aggregate {table.aggregate!r}")
-        _emit(args, "\n".join(lines) + "\n")
+    t = bv_table(_make_set(args), args.x, args.Q, y_grid=args.y_grid, delta=args.delta)
+    header = "q,worst_a,worst_y,observed,expected,abs_err"
+    rows = [(r.q, r.worst_a, r.worst_y, r.observed, r.expected, r.abs_err) for r in t.rows]
+    _write(args, {"label": t.label, "x": t.x, "Q": t.Q, "delta": t.delta,
+                  "aggregate": t.aggregate,
+                  "rows": [dict(zip(header.split(","), r)) for r in rows]},
+           header, rows + [(f"# aggregate {t.aggregate!r}",)],
+           f"set {t.label} x={t.x} Q={t.Q} delta={t.delta!r}\n"
+           + "".join(f"q={q} worst_a={a} worst_y={y} obs={o} exp={e!r} err={err!r}\n"
+                     for q, a, y, o, e, err in rows)
+           + f"aggregate {t.aggregate!r}\n")
 
 
 def _cmd_tuple(args) -> None:
     if (args.k is None) == (args.check is None):
         raise ValueError("give exactly one of --k or --check")
     tup = narrow_tuple(args.k) if args.k is not None else make_tuple(args.check)
-    payload = {"k": tup.k, "offsets": list(tup.offsets), "diameter": tup.diameter,
-               "admissible": tup.admissible, "witness": tup.witness}
-    if args.format == "json":
-        _emit(args, _json(payload))
-    elif args.format == "csv":
-        _emit(args, "k,diameter,admissible,witness,offsets\n"
-              f"{tup.k},{tup.diameter},{tup.admissible},"
-              f"{'' if tup.witness is None else tup.witness},"
-              f"{' '.join(str(h) for h in tup.offsets)}\n")
-    else:
-        _emit(args, f"k={tup.k} diameter={tup.diameter} admissible={tup.admissible}"
-              + (f" witness={tup.witness}" if tup.witness is not None else "")
-              + "\noffsets " + ",".join(str(h) for h in tup.offsets) + "\n")
+    offs = list(tup.offsets)
+    _write(args, {"k": tup.k, "offsets": offs, "diameter": tup.diameter,
+                  "admissible": tup.admissible, "witness": tup.witness},
+           "k,diameter,admissible,witness,offsets",
+           [(tup.k, tup.diameter, tup.admissible, tup.witness, " ".join(map(str, offs)))],
+           f"k={tup.k} diameter={tup.diameter} admissible={tup.admissible}"
+           + ("" if tup.witness is None else f" witness={tup.witness}")
+           + "\noffsets " + ",".join(map(str, offs)) + "\n")
 
 
 def _cmd_sieve_opt(args) -> None:
     res = optimize_Mk(args.k, args.degree)
     thetas = args.thetas or list(DEFAULT_THETAS)
     m_tab = [{"theta": t, "m": dhl_m(res.Mk_lower, t)} for t in thetas]
-    payload = {"k": res.k, "degree": res.degree,
-               "basis_size": len(res.basis.elements),
-               "Mk_lower": res.Mk_lower, "iterations": res.iterations,
-               "m_at_theta": m_tab}
-    if args.format == "json":
-        _emit(args, _json(payload))
-    elif args.format == "csv":
-        _emit(args, "k,degree,basis_size,Mk_lower,iterations\n"
-              f"{res.k},{res.degree},{len(res.basis.elements)},"
-              f"{res.Mk_lower!r},{res.iterations}\n")
-    else:
-        lines = [f"k={res.k} degree={args.degree} basis={len(res.basis.elements)} "
-                 f"Mk_lower={res.Mk_lower!r} iterations={res.iterations}"]
-        for row in m_tab:
-            lines.append(f"theta={row['theta']!r} m={row['m']}")
-        _emit(args, "\n".join(lines) + "\n")
+    size = len(res.basis.elements)
+    _write(args, {"k": res.k, "degree": res.degree, "basis_size": size,
+                  "Mk_lower": res.Mk_lower, "iterations": res.iterations,
+                  "m_at_theta": m_tab},
+           "k,degree,basis_size,Mk_lower,iterations",
+           [(res.k, res.degree, size, res.Mk_lower, res.iterations)],
+           f"k={res.k} degree={args.degree} basis={size} "
+           f"Mk_lower={res.Mk_lower!r} iterations={res.iterations}\n"
+           + "".join(f"theta={r['theta']!r} m={r['m']}\n" for r in m_tab))
 
 
 def _cmd_gap_scan(args) -> None:
     spec = _make_set(args)
     if args.tuple is None:
         recs = record_gaps(spec, args.x, n_records=args.records)
-        if args.format == "json":
-            _emit(args, _json({"set": spec.label, "x": args.x,
-                               "records": [{"gap": g, "p": p, "q": q}
-                                           for g, p, q in recs]}))
-        elif args.format == "csv":
-            _emit(args, "gap,p,q\n" + "".join(f"{g},{p},{q}\n" for g, p, q in recs))
-        else:
-            _emit(args, f"set {spec.label} x={args.x}\n"
-                  + "".join(f"gap={g} p={p} q={q}\n" for g, p, q in recs))
+        _write(args, {"set": spec.label, "x": args.x,
+                      "records": [{"gap": g, "p": p, "q": q} for g, p, q in recs]},
+               "gap,p,q", recs,
+               f"set {spec.label} x={args.x}\n"
+               + "".join(f"gap={g} p={p} q={q}\n" for g, p, q in recs))
         return
     rep = scan_tuple(spec, args.tuple, args.x)
-    if args.format == "json":
-        _emit(args, _json({
-            "set": rep.set_label, "x": rep.x, "offsets": list(rep.offsets),
-            "histogram": {str(k): v for k, v in rep.histogram.items()},
-            "max_hits": rep.max_hits,
-            "best_windows": [{"n": n, "hits": list(hs)} for n, hs in rep.best_windows],
-            "min_gap": rep.min_gap,
-            "record_pairs": [{"gap": g, "p": p, "q": q} for g, p, q in rep.record_pairs],
-        }))
-    elif args.format == "csv":
-        _emit(args, "n,hits,offsets\n" + "".join(
-            f"{n},{len(hs)},{' '.join(str(h) for h in hs)}\n"
-            for n, hs in rep.best_windows))
-    else:
-        lines = [f"set {rep.set_label} x={rep.x} offsets={','.join(str(h) for h in rep.offsets)}",
-                 "histogram " + " ".join(f"{k}:{v}" for k, v in sorted(rep.histogram.items())),
-                 f"max_hits={rep.max_hits} min_gap={rep.min_gap}"]
-        for n, hs in rep.best_windows:
-            lines.append(f"window n={n} hits={','.join(str(h) for h in hs)}")
-        _emit(args, "\n".join(lines) + "\n")
+    wins = rep.best_windows
+    _write(args, {
+        "set": rep.set_label, "x": rep.x, "offsets": list(rep.offsets),
+        "histogram": {str(k): v for k, v in rep.histogram.items()},
+        "max_hits": rep.max_hits,
+        "best_windows": [{"n": n, "hits": list(hs)} for n, hs in wins],
+        "min_gap": rep.min_gap,
+        "record_pairs": [{"gap": g, "p": p, "q": q} for g, p, q in rep.record_pairs],
+    }, "n,hits,offsets", [(n, len(hs), " ".join(map(str, hs))) for n, hs in wins],
+        f"set {rep.set_label} x={rep.x} offsets={','.join(map(str, rep.offsets))}\n"
+        "histogram " + " ".join(f"{k}:{v}" for k, v in sorted(rep.histogram.items()))
+        + f"\nmax_hits={rep.max_hits} min_gap={rep.min_gap}\n"
+        + "".join(f"window n={n} hits={','.join(map(str, hs))}\n" for n, hs in wins))
 
 
 _DISPATCH = {

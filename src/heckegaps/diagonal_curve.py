@@ -41,6 +41,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
+from operator import index
 from typing import Callable, Iterable
 
 import numpy as np
@@ -130,6 +131,7 @@ def nd(curve: CurveSpec, p: int) -> int:
 
     For d = 1 every residue is a first power, so the answer is 1.
     """
+    p = index(p)
     _check_p(curve, p)
     return _nd(curve, p)
 
@@ -145,6 +147,15 @@ def _check_table_size(p: int) -> None:
     """Refuse a Theta(p) table beyond NAIVE_LIMIT, before allocating it."""
     if p > NAIVE_LIMIT:
         raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
+
+
+def _check_table_sizes(curve: CurveSpec, ps: Iterable[int], backend: str | None) -> None:
+    """Raise before the first count what tracing ``ps`` would raise part way:
+    its first p beyond NAIVE_LIMIT when the counter is Theta(p) (the naive
+    backend, or M not in (3, 4)).  Genus 0 is left to ``trace``."""
+    if curve.g >= 1 and (backend == "naive" or curve.M not in _CM_MODULI):
+        for p in ps:
+            _check_table_size(p)
 
 
 def _pow_table(p: int, e: int) -> np.ndarray:
@@ -168,6 +179,7 @@ def count_affine_naive(curve: CurveSpec, p: int) -> int:
     Tabulates a*x^alpha and c - b*y^beta, bincounts both, and takes the dot
     product of the two count vectors.  Works for any p not dividing abc.
     """
+    p = index(p)
     _check_p(curve, p, need_mod_M=False)
     return _count_affine_naive(curve, p)
 
@@ -354,6 +366,7 @@ def count_affine_charsum(curve: CurveSpec, p: int) -> int:
     comes from the prime above p in O(log p) for M in (3, 4), and from a
     discrete-log table otherwise: Theta(p) time and memory, up to NAIVE_LIMIT.
     """
+    p = index(p)
     if p % curve.M != 1:
         return count_affine_naive(curve, p)
     _check_p(curve, p)
@@ -374,6 +387,7 @@ def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
     """
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
+    p = index(p)
     _check_p(curve, p)  # the only check: the counters below assume it
     return _trace(curve, p, backend)
 
@@ -405,6 +419,7 @@ def in_P_CI(curve: CurveSpec, p: int, interval: tuple[float, float]) -> bool:
     lo, hi = interval
     if not (-1.0 <= lo <= hi <= 1.0):
         raise ValueError("interval must satisfy -1 <= lo <= hi <= 1")
+    p = index(p)
     if p < 2 or not is_prime(p) or not curve_primes(curve, [p]):
         return False
     return lo <= _trace(curve, p, None).normalized <= hi
@@ -488,6 +503,7 @@ class TraceStore:
                 pass
 
     def get(self, p: int) -> TraceRecord:
+        p = index(p)
         r = self.records.get(p)
         if r is None:
             log.debug("trace cache miss: curve %s p=%d", _header(self.curve), p)

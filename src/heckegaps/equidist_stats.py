@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import measures as ms
-from .diagonal_curve import CurveSpec, _trace, curve_primes, in_P_CI
+from .diagonal_curve import CurveSpec, _check_table_sizes, _trace, curve_primes, in_P_CI
 from .gaussian_split import in_P_eps, peps_cut, split_range
 from .prime_engine import is_prime, primes_in
 
@@ -140,11 +140,13 @@ def curve_traces(curve: CurveSpec, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     normalized trace of each, every prime traced exactly once.
 
     The sieve and ``curve_primes`` already give exactly the p that ``trace``
-    checks for, so only the genus is checked, once.
+    checks for, so only the genus is checked, once, and the table sizes before
+    the first count.
     """
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
     ps = curve_primes(curve, primes_in(max(lo, 2), hi))
+    _check_table_sizes(curve, ps, None)
     vals = [_trace(curve, p, None).normalized for p in ps]
     return np.array(ps, dtype=np.int64), np.array(vals, dtype=np.float64)
 
@@ -276,13 +278,3 @@ def bv_decay(
         t = bv_table(set_spec, int(x), Q, y_grid=[int(x)], delta=delta)
         out.append((int(x), t.aggregate / float(x)))
     return out
-
-
-def bv_rows_csv(table: BVTable) -> str:
-    lines = ["q,worst_a,worst_y,observed,expected,abs_err"]
-    for r in table.rows:
-        lines.append(
-            f"{r.q},{r.worst_a},{r.worst_y},{r.observed},{r.expected!r},{r.abs_err!r}"
-        )
-    lines.append(f"# aggregate {table.aggregate!r}")
-    return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, sqrt
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,7 @@ def cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
     D is 1 or 3 (Z[i] and Z[omega]), where the pair is unique; for D = 1 it
     is ordered (odd, even).
     """
+    p = index(p)
     if D not in (1, 3):
         raise ValueError("D must be 1 or 3")
     if not is_prime(p):
@@ -102,6 +104,7 @@ def canonical_split(p: int) -> Optional[SplitPrime]:
     Returns None for p = 2 and for p = 3 mod 4.  Re-splitting an already
     canonical prime is a no-op (the normal form is stable).
     """
+    p = index(p)
     if p == 2 or p % 4 == 3:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -132,7 +135,7 @@ def in_P_eps(p: int, eps: float) -> bool:
 
     False for every other integer, composites and n < 2 included.
     """
-    cut = peps_cut(eps)
+    p, cut = index(p), peps_cut(eps)
     if not is_prime(p) or p % 4 != 1:
         return False
     return bool(cut(p, _cornacchia(p, 1)[0]))

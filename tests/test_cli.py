@@ -264,6 +264,43 @@ def test_curve_trace_backends_byte_identical(capsys, curve):
     assert outs[0] and outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("argv,M", [
+    (("equidist", "--set", "curve", "--curve", "1,-1,-1,5,2", "--x", "2e4"), 10),
+    (("gap-scan", "--set", "curve", "--curve", "1,-1,-1,5,2", "--x", "2e4"), 10),
+    (("curve-trace", "--curve", "1,-1,-1,5,2", "--lo", "2", "--hi", "2e4"), 10),
+    (("curve-trace", "--curve", "1,-1,-1,5,2", "--lo", "2", "--hi", "2e4",
+      "--backend", "charsum"), 10),
+    (("curve-trace", "--curve", "1,1,1,3,3", "--lo", "2", "--hi", "2e4",
+      "--backend", "naive"), 3),
+])
+def test_table_counts_refused_before_the_first(capsys, monkeypatch, argv, M):
+    # NAIVE_LIMIT lowered to 10^4 stands in for 10^7: a range that crosses it
+    # on a Theta(p) counter fails before counting the primes below it
+    monkeypatch.setattr(diagonal_curve, "NAIVE_LIMIT", 10**4)
+    naive = _count_calls(monkeypatch, "_count_affine_naive")
+    charsum = _count_calls(monkeypatch, "_count_affine_charsum")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, naive, charsum) == (1, "", [], [])
+    first = next(p for p in primes_in(10**4, 2 * 10**4).tolist() if p % M == 1)
+    assert err == f"error: p={first} beyond the O(p) counting limit 10000\n"
+
+
+def test_closed_forms_and_cached_traces_pass_the_limit(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "c.csv")
+    argv = ("curve-trace", "--curve", "1,-1,-1,5,2", "--lo", "2", "--hi", "2e4",
+            "--cache", cache)
+    code, counted, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(diagonal_curve, "NAIVE_LIMIT", 10**4)
+    naive = _count_calls(monkeypatch, "_count_affine_naive")
+    code, cached, _ = run_cli(capsys, *argv)  # every trace is read back
+    assert (code, cached, naive) == (0, counted, [])
+    for curve in ("1,1,1,3,3", "1,1,1,4,2"):  # O(log p) at any p
+        code, _, _ = run_cli(capsys, "equidist", "--set", "curve", "--curve", curve,
+                             "--x", "2e4")
+        assert (code, naive) == (0, [])
+
+
 @pytest.mark.parametrize("curve", ["1,1,1,3,3", "1,1,1,4,2"])
 def test_curve_trace_beyond_naive_limit(capsys, curve):
     argv = ("curve-trace", "--curve", curve, "--p", "10000141")
@@ -290,7 +327,10 @@ def test_bv_check_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "q,worst_a,worst_y,observed,expected,abs_err"
-    assert lines[-1].startswith("# aggregate")
+    assert lines[-1].startswith("# aggregate ")
+    _, js, _ = run_cli(capsys, "bv-check", "--set", "primes", "--x", "2000",
+                       "--Q", "6", "--format", "json")
+    assert len(lines) == 2 + len(json.loads(js)["rows"]) == 2 + 6  # every q <= 6
 
 
 def test_tuple_narrow(capsys):
@@ -338,6 +378,79 @@ def test_gap_scan_tuple(capsys):
     assert code == 0
     got = json.loads(out)
     assert sum(got["histogram"].values()) == 50
+
+
+def _cell(v):
+    return repr(v) if isinstance(v, float) else "" if v is None else str(v)
+
+
+def _flat(header):
+    """The one csv row a json object implies: its values in header order."""
+    return header, lambda j: [[j[k] for k in header.split(",")]]
+
+
+def _table(header, key):
+    """The csv rows a json table implies: each row's values in header order."""
+    return header, lambda j: [[r[k] for k in header.split(",")] for r in j[key]]
+
+
+SPLIT_HEAD = "p,a,b,ratio,theta"
+TRACE = ("p,nd,affine_count,trace,normalized", lambda j: [
+    [r["p"], r["nd"], r["affine"], r["trace"], r["normalized"]] for r in j["rows"]])
+TUPLE = ("k,diameter,admissible,witness,offsets", lambda j: [
+    [j["k"], j["diameter"], j["admissible"], j["witness"],
+     " ".join(map(str, j["offsets"]))]])
+BV_HEAD = "q,worst_a,worst_y,observed,expected,abs_err"
+BV = (BV_HEAD, lambda j: _table(BV_HEAD, "rows")[1](j)
+      + [["# aggregate " + repr(j["aggregate"])]])  # the aggregate as a one-field row
+
+# (argv, (csv header, the csv rows its json payload implies), text is the csv body)
+WRITER_CASES = [
+    (("primes", "--lo", "100", "--hi", "300"),
+     ("p", lambda j: [[p] for p in j["primes"]]), True),
+    (("primes", "--hi", "1e4", "--count-only"), _flat("lo,hi,count"), False),
+    (("split", "--p", "13"), _flat(SPLIT_HEAD), False),
+    (("split", "--p", "7"), (SPLIT_HEAD, lambda j: [[j["p"], None, None, None, None]]),
+     False),
+    (("split", "--lo", "2", "--hi", "300"), _table(SPLIT_HEAD, "rows"), True),
+    (("curve-trace", "--curve", "1,1,1,3,3", "--lo", "2", "--hi", "300"), TRACE, True),
+    (("curve-trace", "--curve", "1,-1,-1,5,2", "--p", "11"), TRACE, True),
+    (("equidist", "--x", "3000"), _flat("n,ks,measure_kind"), False),
+    (("equidist", "--set", "curve", "--curve", "1,1,1,4,2", "--x", "3000", "--stat",
+      "et"), ("n,interval_lo,interval_hi,T,lhs,rhs", lambda j: [
+          [j["n"], *j["interval"], j["T"], j["lhs"], j["rhs"]]]), False),
+    (("bv-check", "--x", "3000", "--Q", "9"), BV, False),
+    (("tuple", "--k", "4"), TUPLE, False),
+    (("tuple", "--check", "0,2,4"), TUPLE, False),
+    (("sieve-opt", "--k", "5", "--degree", "2"),
+     _flat("k,degree,basis_size,Mk_lower,iterations"), False),
+    (("gap-scan", "--x", "2000", "--records", "3"), _table("gap,p,q", "records"), False),
+    (("gap-scan", "--set", "primes", "--x", "500", "--tuple", "0,2,6"),
+     ("n,hits,offsets", lambda j: [[w["n"], len(w["hits"]), " ".join(map(str, w["hits"]))]
+                                   for w in j["best_windows"]]), False),
+]
+
+
+@pytest.mark.parametrize("argv,csv_of,text_is_body", WRITER_CASES)
+def test_one_writer_for_every_format(tmp_path, capsys, argv, csv_of, text_is_body):
+    outs = {}
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        target = tmp_path / fmt
+        code, shown, _ = run_cli(capsys, *argv, "--format", fmt, "--output", str(target))
+        assert (code, shown) == (0, "")
+        assert target.read_bytes() == out.encode()  # --output writes what stdout shows
+        outs[fmt] = out
+    payload = json.loads(outs["json"])
+    assert outs["json"] == json.dumps(payload, sort_keys=True) + "\n"
+    header, rows_of = csv_of
+    lines = outs["csv"].splitlines()
+    assert lines[0] == header
+    # field for field the same values, floats by repr
+    expected = [[_cell(v) for v in r] for r in rows_of(payload)]
+    assert [ln.split(",") for ln in lines[1:]] == expected
+    assert (outs["text"] == outs["csv"].split("\n", 1)[1]) == text_is_body
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from heckegaps.equidist_stats import (
     BVRow,
     all_primes_set,
     bv_decay,
-    bv_rows_csv,
     bv_table,
     curve_set,
     default_y_grid,
@@ -17,8 +16,17 @@ from heckegaps.equidist_stats import (
     ks_distance,
     peps_set,
 )
-from heckegaps.diagonal_curve import curve_new
-from heckegaps.gaussian_split import canonical_split, in_P_eps
+from heckegaps.cli import main
+from heckegaps.diagonal_curve import (
+    TraceStore,
+    count_affine_charsum,
+    count_affine_naive,
+    curve_new,
+    in_P_CI,
+    nd,
+    trace,
+)
+from heckegaps.gaussian_split import canonical_split, cornacchia, in_P_eps
 from heckegaps.measures import arcsine, cm_mixture, uniform01
 from heckegaps.prime_engine import primes_in
 
@@ -129,6 +137,39 @@ def test_contains_agrees_with_members(spec):
     assert [n for n in range(lo, hi) if spec.contains(n)] == sorted(members)
 
 
+C3, C10 = curve_new(1, 1, 1, 3, 3), curve_new(1, -1, -1, 5, 2)
+PRIME_CALLS = {  # name -> (call on one prime, primes to try)
+    "cornacchia": (lambda p: cornacchia(p, 1), (13, 29)),
+    "canonical_split": (canonical_split, (13, 7)),
+    "in_P_eps": (lambda p: in_P_eps(p, 0.5), (13, 29)),
+    "nd": (lambda p: nd(C3, p), (7, 13)),
+    "count_affine_charsum M=3": (lambda p: count_affine_charsum(C3, p), (7, 13)),
+    "count_affine_charsum M=10": (lambda p: count_affine_charsum(C10, p), (11, 31)),
+    "count_affine_naive": (lambda p: count_affine_naive(C3, p), (7, 13)),
+    "trace": (lambda p: trace(C3, p), (7, 13)),
+    "trace naive": (lambda p: trace(C3, p, "naive"), (7, 13)),
+    "in_P_CI": (lambda p: in_P_CI(C3, p, (-0.5, 0.5)), (7, 13)),
+    "TraceStore.get": (lambda p: TraceStore(C3).get(p), (7, 13)),
+    "peps_set.contains": (lambda p: peps_set(0.5).contains(p), (13, 29)),
+    "curve_set.contains": (lambda p: curve_set(C3, (-0.5, 0.5)).contains(p), (7, 13)),
+}
+
+
+@pytest.mark.parametrize("name", PRIME_CALLS)
+def test_numpy_integer_primes_accepted(name):
+    # members arrays are int64: their elements are primes like any other
+    call, primes = PRIME_CALLS[name]
+    for p in primes:
+        assert call(np.int64(p)) == call(p)
+    with pytest.raises(TypeError):
+        call(13.0)
+
+
+def test_members_feed_contains():
+    spec = peps_set(0.5)
+    assert all(spec.contains(p) for p in spec.members(2, 100))
+
+
 def brute_bv_table(spec, x, Q, delta, ys):
     """Reference implementation: direct nested loops over q, a and y, no
     vectorization.  A cell replaces the best only when strictly worse, so ties
@@ -231,12 +272,14 @@ def test_default_y_grid_shape():
     assert all(g[i] < g[i + 1] for i in range(len(g) - 1))
 
 
-def test_bv_rows_csv_format():
+def test_bv_rows_csv_format(capsys):
+    # the csv of a bv table is written by the CLI: header, one line per row, trailer
     table = bv_table(all_primes_set(), 200, 4, y_grid=[200])
-    text = bv_rows_csv(table)
-    lines = text.strip().splitlines()
+    assert main(["bv-check", "--set", "primes", "--x", "200", "--Q", "4",
+                 "--y-grid", "200", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "q,worst_a,worst_y,observed,expected,abs_err"
-    assert lines[-1].startswith("# aggregate ")
+    assert lines[-1] == f"# aggregate {table.aggregate!r}"
     assert len(lines) == 2 + len(table.rows)
 
 
