@@ -217,14 +217,20 @@ def _write(args, payload: dict, header: str, rows, text: str | None = None) -> N
         sys.stdout.write(out)
 
 
+def _need_curve(args) -> CurveSpec:
+    """The --curve of a --set curve run, which has no default."""
+    if args.curve is None:
+        raise ValueError("--set curve needs --curve a,b,c,alpha,beta")
+    return args.curve
+
+
 def _make_set(args) -> SetSpec:
     if args.set == "primes":
         return all_primes_set()
     if args.set == "peps":
         return peps_set(args.eps)
-    if args.curve is None:
-        raise ValueError("--set curve needs --curve a,b,c,alpha,beta")
-    return curve_set(args.curve, eps_interval(args.curve, args.trace_eps))
+    curve = _need_curve(args)
+    return curve_set(curve, eps_interval(curve, args.trace_eps))
 
 
 def _cmd_primes(args) -> None:
@@ -299,9 +305,7 @@ def _cmd_equidist(args) -> None:
         ratios = (a / np.sqrt(p))[keep]
         angles = theta_of(a, b)[keep]
     else:
-        if args.curve is None:
-            raise ValueError("--set curve needs --curve")
-        _, vals = curve_traces(args.curve, 2, args.x + 1)
+        _, vals = curve_traces(_need_curve(args), 2, args.x + 1)
         ratios = vals[(vals >= -1.0) & (vals <= 1.0)]
         angles = ratios % 1.0
     kind = measure.kind

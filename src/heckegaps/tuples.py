@@ -3,7 +3,14 @@
 H = {h_1 < ... < h_k} is admissible when for every prime p the offsets miss at
 least one residue class mod p.  Only p <= k need checking: k offsets cannot
 cover all p > k classes.  ``narrow_tuple`` builds a small-diameter admissible
-tuple from k consecutive primes past k and then shrinks it greedily.
+tuple from k consecutive primes past k and then shrinks it greedily, moving an
+endpoint into an interior hole.  A body (the tuple minus an endpoint) misses a
+nonempty set of classes mod each p <= k, and adding a hole t covers them all
+only when that set is one class r_p and t = r_p mod p.  So a move needs no
+candidate checked from scratch, only one pass: residue counts mod every p <= k
+find the lone free classes in O(pi(k) * k), and striking the holes in them
+costs O(diameter * log log k).  The result still gets the full
+``is_admissible`` check.
 """
 
 from __future__ import annotations
@@ -72,7 +79,9 @@ def _primes_upto(k: int) -> list[int]:
 def _covering_prime(arr: np.ndarray, primes: list[int]) -> Optional[int]:
     """The first p in ``primes`` whose residue classes ``arr`` all covers."""
     for p in primes:
-        if np.unique(arr % p).size == p:
+        occ = np.zeros(p, dtype=bool)
+        occ[arr % p] = True
+        if occ.all():
             return p
     return None
 
@@ -100,6 +109,48 @@ def _k_primes_past(k: int) -> list[int]:
         hi *= 2
 
 
+def _lone_free_classes(H: np.ndarray, primes: list[int]) -> tuple[list, list]:
+    """The (p, r) pairs where r is the only class mod p that a body misses.
+
+    One list for the body H[:-1], one for H[1:].  H is admissible, so it
+    misses some class mod every p; a body misses only r exactly when H misses
+    only r and the dropped endpoint shares its class with another offset.
+    """
+    right, left = [], []
+    for p in primes:
+        counts = np.bincount(H % p, minlength=p)
+        free = np.flatnonzero(counts == 0)
+        if free.size != 1:
+            continue
+        r = int(free[0])
+        if counts[H[-1] % p] > 1:
+            right.append((p, r))
+        if counts[H[0] % p] > 1:
+            left.append((p, r))
+    return right, left
+
+
+def _shrink(H: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Greedy endpoint moves from an admissible H with H[0] = 0 until none fits.
+
+    ``primes`` are the p <= len(H); returns the narrowed H, again from 0.
+    """
+    while True:
+        hole = np.ones(int(H[-1]), dtype=bool)  # H[0] = 0 < t < H[-1]
+        hole[H[:-1]] = False
+        for body, lone in zip((H[:-1], H[1:]), _lone_free_classes(H, primes)):
+            ok = hole.copy()
+            for p, r in lone:
+                ok[r::p] = False
+            t = int(ok.argmax())
+            if ok[t]:
+                H = np.sort(np.append(body, t))
+                H -= H[0]
+                break
+        else:
+            return H
+
+
 def narrow_tuple(k: int) -> AdmissibleTuple:
     """An admissible k-tuple of small diameter.
 
@@ -107,30 +158,19 @@ def narrow_tuple(k: int) -> AdmissibleTuple:
     the offsets is divisible by any p <= k), then repeatedly move an endpoint
     into an interior hole.  Moves are tried in a fixed first-improvement
     order, right endpoint before left, holes ascending, so the result is
-    reproducible.  Every move strictly shrinks the diameter.
+    reproducible.  Every move strictly shrinks the diameter.  A hole is a
+    legal move unless it lands on a body's lone free class mod some p <= k
+    (``_lone_free_classes``), so each move costs one O(pi(k) * k + diameter *
+    log log k) pass.  The result gets the full ``is_admissible`` check as an
+    independent oracle, and a failure raises ``RuntimeError``.
     """
     if not 1 <= k <= 10**4:
         raise ValueError("k must lie in [1, 10^4]")
     if k == 1:
         return AdmissibleTuple(offsets=(0,), k=1, diameter=0, witness=None)
     base = _k_primes_past(k)
-    H = [p - base[0] for p in base]
-    small = _primes_upto(k)  # every candidate has k offsets
-    while True:
-        holes = sorted(set(range(H[0] + 1, H[-1])) - set(H))
-        moved = False
-        for body in (H[:-1], H[1:]):
-            for t in holes:
-                cand = sorted(body + [t])
-                if _covering_prime(np.asarray(cand, dtype=np.int64), small) is None:
-                    shift = cand[0]
-                    H = [h - shift for h in cand]
-                    moved = True
-                    break
-            if moved:
-                break
-        if not moved:
-            break
-    result = make_tuple(H)
-    assert result.admissible, "narrowing broke admissibility"
+    H = np.asarray(base, dtype=np.int64) - base[0]
+    result = make_tuple(_shrink(H, _primes_upto(k)))
+    if not result.admissible:
+        raise RuntimeError("narrowing broke admissibility")
     return result

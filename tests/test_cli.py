@@ -529,6 +529,13 @@ def test_bad_parameters_exit_1(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["equidist", "gap-scan"])
+def test_missing_curve_same_message(capsys, cmd):
+    code, out, err = run_cli(capsys, cmd, "--set", "curve", "--x", "3000")
+    assert (code, out) == (1, "")
+    assert err == "error: --set curve needs --curve a,b,c,alpha,beta\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("curve-trace", "--curve", "1,99999999999999999999999,1,3,3", "--p", "7"),
     ("curve-trace", "--curve", "1,99999999999999999999999,1,3,3", "--lo", "2", "--hi", "60"),
