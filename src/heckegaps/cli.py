@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 computation error (diagnostic on stderr), 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal, InvalidOperation
@@ -109,7 +110,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     "changes output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="heckegaps",
         description="constrained prime sets: splits, curve traces, discrepancy "

@@ -24,12 +24,14 @@ with chi, psi and chi psi all nontrivial.  There are two sources:
 * M in {3, 4}: J(chi, chi) is the primary prime of Z[omega] or Z[i] above
   p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73, 1952;
   Ireland & Rosen ch. 9), found by Cornacchia's descent: O(log p), any p.
-* every other M: one bincount per J over a discrete-log table, Theta(p).
+* every other M: one joint histogram of the discrete logs of w and 1 - w,
+  Theta(p), which every J folds.
 
 The total is a rational integer in Z[zeta_M], so it is its trace over Q, a
 sum of Ramanujan sums c_M(k) (Hardy & Wright, ch. XVI), divided by phi(M).
 ``count_affine_naive``, a value-table convolution over F_p, is the oracle
-that the formula must match.
+that the formula must match; it tabulates x^alpha and y^beta on half of F_p
+and mirrors the other half.
 
 Everything is integer arithmetic.  ``trace`` uses the O(log p) source where
 it applies and the naive count elsewhere, unless a backend is named.
@@ -158,26 +160,30 @@ def _check_table_sizes(curve: CurveSpec, ps: Iterable[int], backend: str | None)
             _check_table_size(p)
 
 
-def _pow_table(p: int, e: int) -> np.ndarray:
-    """x^e mod p for all x in [0, p), square-and-multiply on int64 in place."""
-    out = np.ones(p, dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    while True:
-        if e & 1:
+def _half_table(p: int, e: int, k: int) -> np.ndarray:
+    """k x^e mod p for x in [0, (p+1)/2), odd p: the other half of F_p is
+    p - x, whose value is (-1)^e k x^e.  Left-to-right square-and-multiply
+    on int64 in place, starting from the base."""
+    base = np.arange((p + 1) // 2, dtype=np.int64)
+    out = base.copy()
+    for bit in bin(e)[3:]:
+        out *= out
+        out %= p
+        if bit == "1":
             out *= base
             out %= p
-        e >>= 1
-        if not e:
-            return out
-        base *= base
-        base %= p
+    if k % p != 1:
+        out *= k % p
+        out %= p
+    return out
 
 
 def count_affine_naive(curve: CurveSpec, p: int) -> int:
     """#{(x, y) in F_p^2 : a x^alpha + b y^beta = c} by table convolution.
 
-    Tabulates a*x^alpha and c - b*y^beta, bincounts both, and takes the dot
-    product of the two count vectors.  Works for any p not dividing abc.
+    Counts the values a x^alpha over half of F_p and mirrors them (x and
+    p - x differ by (-1)^alpha), then sums those counts at c - b y^beta over
+    the y half table and its mirror.  Works for any p not dividing abc.
     """
     p = index(p)
     _check_p(curve, p, need_mod_M=False)
@@ -186,16 +192,26 @@ def count_affine_naive(curve: CurveSpec, p: int) -> int:
 
 def _count_affine_naive(curve: CurveSpec, p: int) -> int:
     _check_table_size(p)
-    lhs = _pow_table(p, curve.alpha)
-    lhs *= curve.a % p
-    lhs %= p
-    n_lhs = np.bincount(lhs, minlength=p)
+    if p == 2:
+        return 2  # a, b, c odd: x + y = 1 over F_2
+    lhs = _half_table(p, curve.alpha, curve.a)
+    # a x^alpha = v has at most alpha <= 16 roots x, so n_lhs fits a byte
+    n_lhs = np.bincount(lhs, minlength=p).astype(np.uint8)
     del lhs  # one side's value table at a time bounds the peak memory
-    rhs = _pow_table(p, curve.beta)
-    rhs *= -curve.b % p
-    rhs += curve.c % p
-    rhs %= p
-    return int(n_lhs @ np.bincount(rhs, minlength=p))
+    if curve.alpha % 2:
+        n_lhs[1:] += n_lhs[:0:-1]  # v from x, -v from p - x; x = 0 has no mirror
+    else:
+        n_lhs *= 2
+        n_lhs[0] -= 1
+    rhs = _half_table(p, curve.beta, curve.b)
+    c = curve.c % p
+
+    def hits(idx: np.ndarray) -> int:
+        return int(np.take(n_lhs, idx, mode="wrap").sum(dtype=np.int64))
+
+    if curve.beta % 2:
+        return hits(c - rhs) + hits(c + rhs[1:])
+    return 2 * hits(c - rhs) - int(n_lhs[c])
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -345,16 +361,25 @@ def _cm_source(M: int, p: int) -> tuple[int, _Jacobi]:
 def _dlog_source(M: int, p: int) -> tuple[int, _Jacobi]:
     """r and J for any M from a discrete-log table mod p: Theta(p).
 
-    chi(g) = zeta for the smallest primitive root g, so r = g^((p-1)/M), and
-    J(chi^s, chi^t) = sum_{w != 0, 1} chi^s(w) chi^t(1 - w) is one bincount.
+    chi(g) = zeta for the smallest primitive root g, so r = g^((p-1)/M).  One
+    bincount over w = 2..p-1 gives the joint histogram H[u, v] = #{w : ind w
+    = u, ind(1 - w) = v mod M}, and J(chi^s, chi^t) = sum_{w != 0, 1}
+    chi^s(w) chi^t(1 - w) puts H[u, v] on zeta^(su + tv): an M x M fold.
     """
     _check_table_size(p)
     g = _primitive_root(p)
     ind = _dlog_table(p, g, M)
-    iw, i1w = ind[2:], ind[:1:-1]  # indices of w and of 1 - w, w = 2..p-1
+    key = ind[2:] * M
+    key += ind[:1:-1]  # ind(1 - w) for w = 2..p-1
+    hist = np.bincount(key, minlength=M * M)
+    del ind, key
+    uv = np.flatnonzero(hist)
+    u, v, n = uv // M, uv % M, hist[uv]
 
     def jacobi(s: int, t: int) -> list[int]:
-        return np.bincount((s * iw + t * i1w) % M, minlength=M).tolist()
+        z = np.zeros(M, dtype=np.int64)
+        np.add.at(z, (s * u + t * v) % M, n)
+        return z.tolist()
 
     return pow(g, (p - 1) // M, p), jacobi
 

@@ -562,6 +562,49 @@ def test_computation_error_exit_1(capsys):
     assert err.startswith("error:")
 
 
+_ONE_PROCESS = [
+    ["primes", "--hi", "100", "--format", "csv"],
+    ["split", "--lo", "2", "--hi", "200"],
+    ["curve-trace", "--curve", "1,-1,-1,5,2", "--lo", "2", "--hi", "500",
+     "--backend", "charsum", "--format", "json"],
+    ["equidist", "--set", "curve", "--curve", "1,1,1,3,3", "--x", "2000"],
+    ["equidist", "--x", "abc"],  # usage error part way: exit 2
+    ["bv-check", "--set", "primes", "--x", "2000", "--Q", "5", "--format", "csv"],
+    ["tuple", "--k", "5", "--format", "json"],
+    ["tuple", "--check", "0,2,4"],
+    ["sieve-opt", "--k", "5", "--degree", "2", "--thetas", "0.25,0.9"],
+    ["sieve-opt", "--k", "5", "--degree", "2"],
+    ["gap-scan", "--set", "peps", "--x", "300", "--records", "3", "--format", "json"],
+    ["curve-trace", "--curve", "1,1,1,4,2", "--p", "13"],
+]
+
+
+def _main_outputs(fresh_parser):
+    from heckegaps.cli import build_parser
+
+    results = []
+    for argv in _ONE_PROCESS:
+        if fresh_parser:
+            build_parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as e:
+                code = e.code
+        results.append((code, out.getvalue()))
+    return results
+
+
+def test_parser_built_once_parses_like_a_fresh_one():
+    once = _main_outputs(fresh_parser=False)
+    fresh = _main_outputs(fresh_parser=True)
+    assert once == fresh
+    assert [code for code, _ in once] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    with_thetas, without = once[8][1], once[9][1]
+    assert with_thetas != without  # --thetas does not stick to the next call
+
+
 def test_repeat_runs_identical(capsys):
     args = ("equidist", "--set", "peps", "--eps", "0.8", "--x", "5000",
             "--stat", "ks", "--format", "json")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -183,6 +184,77 @@ def test_naive_matches_brute(curve, p):
     assert count_affine_naive(curve, p) == brute_affine(curve, p)
 
 
+ALL_SHAPES = [(alpha, beta) for alpha in range(2, 17) for beta in range(2, alpha + 1)]
+
+
+def _grid_affine(curve, p):
+    """Oracle: every (x, y) of F_p x F_p at once, no symmetry used."""
+    xs = np.array([curve.a * pow(x, curve.alpha, p) % p for x in range(p)])
+    ys = np.array([curve.b * pow(y, curve.beta, p) % p for y in range(p)])
+    return int(((xs[:, None] + ys[None, :]) % p == curve.c % p).sum())
+
+
+@pytest.mark.parametrize("p", [int(p) for p in primes_in(2, 60)])
+def test_naive_matches_grid_every_shape(p):
+    rng = random.Random(p)
+    big = [tuple(s * rng.randint(2**64, 2**80) for s in signs)
+           for signs in ((1, -1, 1), (-1, 1, -1))]
+    for shape in ALL_SHAPES:
+        for coeffs in ((1, 1, 1), (3, -5, 7), (-2, 6, -1), *big):
+            if math.prod(coeffs) % p == 0:
+                continue
+            curve = curve_new(*coeffs, *shape)
+            assert count_affine_naive(curve, p) == _grid_affine(curve, p), (coeffs, shape)
+
+
+def _full_table_reference(curve, p):
+    """The whole-field convolution: x^alpha and y^beta tabulated on all of
+    F_p, a bincount of each side and the dot product of the two."""
+    def pow_table(e):
+        out, base = np.ones(p, dtype=np.int64), np.arange(p, dtype=np.int64)
+        while True:
+            if e & 1:
+                out *= base
+                out %= p
+            e >>= 1
+            if not e:
+                return out
+            base *= base
+            base %= p
+
+    lhs = pow_table(curve.alpha)
+    lhs *= curve.a % p
+    lhs %= p
+    n_lhs = np.bincount(lhs, minlength=p)
+    del lhs
+    rhs = pow_table(curve.beta)
+    rhs *= -curve.b % p
+    rhs += curve.c % p
+    rhs %= p
+    return int(n_lhs @ np.bincount(rhs, minlength=p))
+
+
+def _first_prime(lo, M):
+    return next(int(q) for q in primes_in(lo, lo + 10**4) if q % M == 1)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (5, 2), (4, 4), (5, 3), (3, 2)])
+def test_naive_matches_full_table_near_1e5(shape):
+    alpha, beta = shape
+    M = math.lcm(alpha, beta)
+    for coeffs in ((1, 1, 1), (1, -1, -1), (7, -3, 2**70 + 1)):
+        curve = curve_new(*coeffs, *shape)
+        for p in (100003, 100019, _first_prime(10**5, M)):
+            assert count_affine_naive(curve, p) == _full_table_reference(curve, p)
+
+
+def test_naive_matches_full_table_at_the_limit():
+    p = 9999991
+    assert is_prime(p) and p <= NAIVE_LIMIT
+    curve = curve_new(3, -5, 7, 5, 3)
+    assert count_affine_naive(curve, p) == _full_table_reference(curve, p)
+
+
 @pytest.mark.parametrize("curve", [CIRCLE, CUBIC, QUARTIC, HYPER, TWISTED])
 def test_charsum_matches_naive_spot(curve):
     checked = 0
@@ -242,6 +314,25 @@ def test_discrete_log_source_matches_naive(pair, a, b, c, i):
     assert count_affine_charsum(curve, p) == want
     if curve.g:  # the circle (2, 2) has genus 0 and no trace
         assert trace(curve, p, backend="charsum").affine_count == want
+
+
+@pytest.mark.parametrize("M", [5, 6, 8, 10, 12, 16])
+def test_every_jacobi_sum_has_absolute_value_sqrt_p(M):
+    # |J(chi, psi)| = sqrt(p) when chi, psi and chi psi are all nontrivial
+    # (Ireland-Rosen ch. 8)
+    from heckegaps.diagonal_curve import _dlog_source
+
+    zeta = np.exp(2j * np.pi * np.arange(M) / M)
+    primes = [int(p) for p in primes_in(2, 2000) if p % M == 1]
+    assert primes
+    for p in primes:
+        _, jacobi = _dlog_source(M, p)
+        for s in range(1, M):
+            for t in range(1, M):
+                if (s + t) % M:
+                    z = jacobi(s, t)
+                    assert sum(z) == p - 2  # one term for each w != 0, 1
+                    assert abs(abs(np.dot(z, zeta)) ** 2 - p) < 1e-6, (p, s, t)
 
 
 def test_discrete_log_source_has_the_naive_limit(monkeypatch):
