@@ -25,20 +25,12 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import measures as ms
-from .diagonal_curve import (
-    CurveSpec,
-    TraceStore,
-    _check_table_sizes,
-    curve_new,
-    curve_primes,
-    eps_interval,
-)
+from .diagonal_curve import CurveSpec, TraceStore, curve_new, curve_traces, eps_interval
 from .equidist_stats import (
     SetSpec,
     all_primes_set,
     bv_table,
     curve_set,
-    curve_traces,
     erdos_turan_bound,
     ks_distance,
     peps_set,
@@ -168,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tuple", help="construct or check admissible tuples")
     p.add_argument("--k", type=_num, default=None)
-    p.add_argument("--check", type=_int_list, default=None, metavar="h1,h2,...")
+    p.add_argument("--check", type=_int_list, default=None, metavar="h1,h2,...",
+                   help="offsets; a negative first one needs '=': --check=-10,0")
     _add_common(p)
 
     p = sub.add_parser("sieve-opt", help="Maynard variational lower bound")
@@ -184,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-eps", type=float, default=1.0,
                    help="half-width of the normalized-trace window, times 2g")
     p.add_argument("--x", type=_num, required=True)
-    p.add_argument("--tuple", type=_int_list, default=None, metavar="h1,h2,...")
+    p.add_argument("--tuple", type=_int_list, default=None, metavar="h1,h2,...",
+                   help="offsets; a negative first one needs '=': --tuple=-10,0")
     p.add_argument("--records", type=_num, default=10)
     _add_common(p)
 
@@ -281,12 +275,9 @@ def _cmd_split(args) -> None:
 def _cmd_curve_trace(args) -> None:
     curve = args.curve
     store = TraceStore(curve, args.cache, args.backend)
-    if _single_prime(args):
-        ps = [args.p]
-    else:
-        ps = curve_primes(curve, primes_in(args.lo, args.hi))
-        _check_table_sizes(curve, [q for q in ps if q not in store.records], args.backend)
-    rows = [(r.p, r.nd, r.affine_count, r.trace, r.normalized) for r in map(store.get, ps)]
+    recs = ([store.get(args.p)] if _single_prime(args)
+            else curve_traces(curve, args.lo, args.hi, store))
+    rows = [(r.p, r.nd, r.affine_count, r.trace, r.normalized) for r in recs]
     if args.cache:
         store.save()
     keys = ("p", "nd", "affine", "trace", "normalized")
@@ -308,7 +299,10 @@ def _cmd_equidist(args) -> None:
         ratios = (a / np.sqrt(p))[keep]
         angles = theta_of(a, b)[keep]
     else:
-        _, vals = curve_traces(_need_curve(args), 2, args.x + 1)
+        curve = _need_curve(args)
+        if curve.g < 1:  # checked before the sweep, even if it finds no prime
+            raise ValueError("trace needs genus >= 1")
+        vals = np.fromiter((r.normalized for r in curve_traces(curve, 2, args.x + 1)), float)
         ratios = vals[(vals >= -1.0) & (vals <= 1.0)]
         angles = ratios % 1.0
     kind = measure.kind

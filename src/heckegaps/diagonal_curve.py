@@ -35,23 +35,22 @@ and mirrors the other half.
 
 Everything is integer arithmetic.  ``trace`` uses the O(log p) source where
 it applies and the naive count elsewhere, unless a backend is named.
+``curve_traces``, the one range path of ``curve-trace --lo/--hi``, ``equidist``
+and the curve sets, traces each sieved prime of a window once.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
 from operator import index
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .gaussian_split import _cornacchia
-from .prime_engine import is_prime
-
-log = logging.getLogger(__name__)
+from .prime_engine import is_prime, primes_in
 
 NAIVE_LIMIT = 10**7  # O(p) memory and time; keep desk-scale
 _CM_MODULI = (3, 4)  # M with a closed-form count
@@ -149,15 +148,6 @@ def _check_table_size(p: int) -> None:
     """Refuse a Theta(p) table beyond NAIVE_LIMIT, before allocating it."""
     if p > NAIVE_LIMIT:
         raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
-
-
-def _check_table_sizes(curve: CurveSpec, ps: Iterable[int], backend: str | None) -> None:
-    """Raise before the first count what tracing ``ps`` would raise part way:
-    its first p beyond NAIVE_LIMIT when the counter is Theta(p) (the naive
-    backend, or M not in (3, 4)).  Genus 0 is left to ``trace``."""
-    if curve.g >= 1 and (backend == "naive" or curve.M not in _CM_MODULI):
-        for p in ps:
-            _check_table_size(p)
 
 
 def _half_table(p: int, e: int, k: int) -> np.ndarray:
@@ -436,6 +426,34 @@ def _record(curve: CurveSpec, p: int, n_d: int, affine: int) -> TraceRecord:
     return TraceRecord(p=p, nd=n_d, affine_count=affine, trace=tr, normalized=normalized)
 
 
+def curve_traces(
+    curve: CurveSpec, lo: int, hi: int, store: TraceStore | None = None
+) -> Iterator[TraceRecord]:
+    """The TraceRecord of every prime in [lo, hi) that the trace is defined
+    at, ascending, each traced once; the sieve proves them, so none is
+    re-checked.  What tracing them would raise part way (genus 0, or a p
+    beyond NAIVE_LIMIT on a Theta(p) counter) is raised before the first
+    count.  A ``store`` supplies its backend and its records and keeps the
+    new ones; without one, no record outlives the loop.
+    """
+    records = {} if store is None else store.records
+    backend = None if store is None else store.backend
+    ps = curve_primes(curve, primes_in(lo, hi))
+    todo = [p for p in ps if p not in records] if records else ps
+    if todo and curve.g < 1:
+        raise ValueError("trace needs genus >= 1")
+    if backend == "naive" or curve.M not in _CM_MODULI:
+        for p in todo:
+            _check_table_size(p)
+    for p in ps:
+        r = records.get(p)
+        if r is None:
+            r = _trace(curve, p, backend)
+            if store is not None:
+                records[p] = r
+        yield r
+
+
 def in_P_CI(curve: CurveSpec, p: int, interval: tuple[float, float]) -> bool:
     """True iff p = 1 mod M, p does not divide abc, and the normalized trace
     lies in the closed interval.  False (not an error) on the p conditions."""
@@ -499,6 +517,10 @@ def load_trace_cache(path, curve: CurveSpec) -> list[TraceRecord]:
             raise CacheFormatError(f"line {idx}: non-integer field ({e})") from e
         if p <= prev_p:
             raise CacheFormatError(f"line {idx}: primes not strictly ascending")
+        try:
+            _check_p(curve, p)
+        except ValueError as e:  # also p >= 2^64, beyond the exact primality test
+            raise CacheFormatError(f"line {idx}: {e}") from e
         rec = _record(curve, p, n_d, affine)
         if n_d not in ((1,) if curve.d == 1 else (0, curve.d)) or tr != rec.trace:
             raise CacheFormatError(f"line {idx}: inconsistent record for p={p}")
@@ -510,10 +532,10 @@ def load_trace_cache(path, curve: CurveSpec) -> list[TraceRecord]:
 class TraceStore:
     """Memoized traces for one curve, optionally file-backed.
 
-    Misses are computed with ``trace(curve, p, backend)``: by default the
-    O(log p) closed form for M in (3, 4) and the naive count otherwise.  They
-    are logged at debug level so a long scan can be resumed from the persisted
-    cache.
+    ``get`` computes a miss with ``trace(curve, p, backend)``: by default the
+    O(log p) closed form for M in (3, 4) and the naive count otherwise.
+    ``curve_traces(curve, lo, hi, store)`` reads a window's records from the
+    store and keeps the ones it counts, so ``save`` lets a long scan resume.
     """
 
     def __init__(self, curve: CurveSpec, path=None, backend: str | None = None):
@@ -531,9 +553,7 @@ class TraceStore:
         p = index(p)
         r = self.records.get(p)
         if r is None:
-            log.debug("trace cache miss: curve %s p=%d", _header(self.curve), p)
-            r = trace(self.curve, p, self.backend)
-            self.records[p] = r
+            r = self.records[p] = trace(self.curve, p, self.backend)
         return r
 
     def save(self) -> None:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import measures as ms
-from .diagonal_curve import CurveSpec, _check_table_sizes, _trace, curve_primes, in_P_CI
+from .diagonal_curve import CurveSpec, curve_traces, in_P_CI
 from .gaussian_split import in_P_eps, peps_cut, split_range
 from .prime_engine import is_prime, primes_in
 
@@ -135,38 +135,22 @@ def peps_set(eps: float) -> SetSpec:
     )
 
 
-def curve_traces(curve: CurveSpec, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Primes p in [lo, hi) with p = 1 mod M and p not dividing abc, and the
-    normalized trace of each, every prime traced exactly once.
-
-    The sieve and ``curve_primes`` already give exactly the p that ``trace``
-    checks for, so only the genus is checked, once, and the table sizes before
-    the first count.
-    """
-    if curve.g < 1:
-        raise ValueError("trace needs genus >= 1")
-    ps = curve_primes(curve, primes_in(max(lo, 2), hi))
-    _check_table_sizes(curve, ps, None)
-    vals = [_trace(curve, p, None).normalized for p in ps]
-    return np.array(ps, dtype=np.int64), np.array(vals, dtype=np.float64)
-
-
 def curve_set(curve: CurveSpec, interval: tuple[float, float]) -> SetSpec:
     """Primes with normalized trace in ``interval`` for a diagonal curve.
 
     No closed-form density is known for genus >= 2, so the set has none and BV
     tables need an explicit delta.  d_E is the curve's M (the set lives inside
     p = 1 mod M, so moduli sharing a factor with M see a skewed progression).
-    ``members`` traces the sieved primes directly; ``contains`` re-checks one
-    integer from scratch with ``in_P_CI``.
+    ``members`` streams its window through ``curve_traces``; ``contains``
+    re-checks one integer from scratch with ``in_P_CI``.
     """
     t_lo, t_hi = interval
     if not (-1.0 <= t_lo <= t_hi <= 1.0):
         raise ValueError("interval must satisfy -1 <= lo <= hi <= 1")
 
     def _members(lo: int, hi: int) -> np.ndarray:
-        ps, vals = curve_traces(curve, lo, hi)
-        return ps[(vals >= t_lo) & (vals <= t_hi)]
+        return np.array([r.p for r in curve_traces(curve, max(lo, 2), hi)
+                         if t_lo <= r.normalized <= t_hi], dtype=np.int64)
 
     return SetSpec(
         label=f"curve[{curve.a},{curve.b},{curve.c},{curve.alpha},{curve.beta}]"

@@ -321,6 +321,10 @@ DETERMINISM_CASES = [
      "--format", "csv"],
     ["gap-scan", "--set", "primes", "--x", "500", "--tuple", "0,2,6",
      "--format", "json"],
+    ["equidist", "--set", "curve", "--curve", "1,1,1,4,2", "--x", "20000",
+     "--format", "json"],
+    ["gap-scan", "--set", "curve", "--curve", "1,1,1,3,3", "--x", "20000",
+     "--tuple", "0,6", "--format", "json"],
 ]
 
 

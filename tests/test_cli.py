@@ -217,17 +217,65 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_equidist_curve_traces_each_prime_once(capsys, monkeypatch):
-    # a CM curve: the closed form counts every prime, the naive count none
+@pytest.mark.parametrize("argv", [
+    ("equidist", "--set", "curve", "--x", "1999"),
+    ("gap-scan", "--set", "curve", "--x", "1999"),
+    ("curve-trace", "--lo", "2", "--hi", "2000"),
+    ("curve-trace", "--lo", "2", "--hi", "2000", "--cache", "{cache}"),
+], ids=["equidist", "gap-scan", "curve-trace", "curve-trace-cache"])
+def test_curve_ranges_trace_each_prime_once(tmp_path, capsys, monkeypatch, argv):
+    # every range entry point sieves its window once, in diagonal_curve, and
+    # counts each prime once there: on a CM curve the closed form counts
+    # every prime and the naive count none
     calls = _count_calls(monkeypatch, "_count_affine_charsum")
     naive = _count_calls(monkeypatch, "_count_affine_naive")
-    code, out, _ = run_cli(capsys, "equidist", "--set", "curve", "--curve",
-                           "1,1,1,3,3", "--x", "2000", "--format", "json")
-    assert code == 0
-    n = json.loads(out)["n"]
-    assert n > 0
-    assert len(calls) == len(set(calls)) == n
+    windows = []
+    sieve = diagonal_curve.primes_in
+
+    def sieving(lo, hi):
+        windows.append((lo, hi))
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(diagonal_curve, "primes_in", sieving)
+    cmd, *rest = (str(tmp_path / "c.csv") if a == "{cache}" else a for a in argv)
+    code, out, _ = run_cli(capsys, cmd, "--curve", "1,1,1,3,3", *rest)
+    assert code == 0 and out
+    assert windows == [(2, 2000)]
+    assert calls == [p for p in primes_in(2, 2000).tolist() if p % 3 == 1]
     assert naive == []
+
+
+def test_curve_range_proves_no_prime_again(capsys, monkeypatch):
+    # the sieve proves the window's primes: tracing them runs no Miller-Rabin
+    from heckegaps import gaussian_split
+
+    calls = []
+    for mod in (diagonal_curve, gaussian_split):
+        def counting(n, check=mod.is_prime):
+            calls.append(n)
+            return check(n)
+
+        monkeypatch.setattr(mod, "is_prime", counting)
+    code, out, _ = run_cli(capsys, "curve-trace", "--curve", "1,1,1,3,3",
+                           "--lo", "2", "--hi", "2000")
+    assert code == 0 and out
+    assert calls == []
+
+
+@pytest.mark.parametrize("row,err", [
+    ("9,3,5,2", "9 is not prime"),
+    ("11,0,5,7", "p=11 is not 1 mod M=3"),
+], ids=["composite", "not-1-mod-M"])
+def test_cache_cannot_vouch_for_untraced_primes(tmp_path, capsys, row, err):
+    # the rows add up, but the trace is not defined at their p
+    cache = tmp_path / "c.csv"
+    cache.write_text(f"# curve 1,1,1,3,3\n{row}\n")
+    p = row.split(",")[0]
+    for window in (("--p", p), ("--lo", "2", "--hi", "20")):
+        code, out, got = run_cli(capsys, "curve-trace", "--curve", "1,1,1,3,3",
+                                 *window, "--cache", str(cache))
+        assert (code, out, got) == (1, "", f"error: line 2: {err}\n")
+    assert cache.read_text() == f"# curve 1,1,1,3,3\n{row}\n"
 
 
 def test_naive_backend_stays_the_oracle(tmp_path, capsys, monkeypatch):

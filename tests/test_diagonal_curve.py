@@ -14,6 +14,7 @@ from heckegaps.diagonal_curve import (
     count_affine_naive,
     curve_new,
     curve_primes,
+    curve_traces,
     eps_interval,
     in_P_CI,
     load_trace_cache,
@@ -475,6 +476,54 @@ def test_cache_rejects_impossible_nd(tmp_path):
     path.write_text("# curve 1,1,1,3,3\n7,1,6,1\n")
     with pytest.raises(CacheFormatError):
         load_trace_cache(path, CUBIC)
+
+
+@pytest.mark.parametrize("curve,row,err", [
+    (CUBIC, "9,3,5,2", "9 is not prime"),
+    (CUBIC, "11,0,5,7", "p=11 is not 1 mod M=3"),
+    (curve_new(1, 1, 13, 3, 3), "13,0,6,8", "p=13 divides a coefficient"),
+    (CUBIC, f"{2**64 + 3},0,{2**64 + 3},1", "beyond the exact Miller-Rabin range"),
+], ids=["composite", "not-1-mod-M", "divides-abc", "beyond-2^64"])
+def test_cache_rejects_untraced_primes(tmp_path, curve, row, err):
+    # every row adds up, but the trace is not defined at its p
+    path = tmp_path / "forged.csv"
+    save_trace_cache(path, curve, [trace(curve, 7)])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(CacheFormatError) as got:
+        load_trace_cache(path, curve)
+    assert str(got.value).startswith("line 3: ") and err in str(got.value)
+
+
+@pytest.mark.parametrize("curve", [CUBIC, QUARTIC, HYPER, TWISTED])
+def test_curve_traces_match_trace(curve):
+    ps = curve_primes(curve, primes_in(2, 3000))
+    assert list(curve_traces(curve, 2, 3000)) == [trace(curve, p) for p in ps]
+
+
+def test_curve_traces_store(monkeypatch):
+    from heckegaps import diagonal_curve
+
+    store = TraceStore(QUARTIC)
+    first = list(curve_traces(QUARTIC, 2, 200, store))
+    assert store.records == {r.p: r for r in first}
+    counted = []
+    count = diagonal_curve._trace
+
+    def counting(curve, p, backend):
+        counted.append(p)
+        return count(curve, p, backend)
+
+    monkeypatch.setattr(diagonal_curve, "_trace", counting)
+    both = list(curve_traces(QUARTIC, 2, 400, store))  # the store's are read back
+    assert both[:len(first)] == first
+    assert counted == [r.p for r in both[len(first):]] and counted
+    assert len(store.records) == len(both)
+
+
+def test_curve_traces_genus_zero():
+    with pytest.raises(ValueError, match="genus"):
+        next(curve_traces(CIRCLE, 2, 100))
+    assert list(curve_traces(CIRCLE, 2, 3)) == []  # nothing to count
 
 
 def test_trace_store(tmp_path):
