@@ -19,13 +19,10 @@ to Modern Number Theory*, ch. 8):
     N = sum_{chi, psi} chi(c/a) psi(c/b) J(chi, psi).
 
 One accumulation evaluates it for every M, asking a source only for the J
-with chi, psi and chi psi all nontrivial.  There are two sources:
-
-* M in {3, 4}: J(chi, chi) is the primary prime of Z[omega] or Z[i] above
-  p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73, 1952;
-  Ireland & Rosen ch. 9), found by Cornacchia's descent: O(log p), any p.
-* every other M: one joint histogram of the discrete logs of w and 1 - w,
-  Theta(p), which every J folds.
+with chi, psi and chi psi all nontrivial.  The one source so far is the
+closed form for M in {3, 4}: J(chi, chi) is the primary prime of Z[omega]
+or Z[i] above p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73,
+1952; Ireland & Rosen ch. 9), found by Cornacchia's descent: O(log p), any p.
 
 The total is a rational integer in Z[zeta_M], so it is its trace over Q, a
 sum of Ramanujan sums c_M(k) (Hardy & Wright, ch. XVI), divided by phi(M).
@@ -33,8 +30,9 @@ sum of Ramanujan sums c_M(k) (Hardy & Wright, ch. XVI), divided by phi(M).
 that the formula must match; it tabulates x^alpha and y^beta on half of F_p
 and mirrors the other half.
 
-Everything is integer arithmetic.  ``trace`` uses the O(log p) source where
-it applies and the naive count elsewhere, unless a backend is named.
+Everything is integer arithmetic.  ``_counter`` is the one choice of
+counter: the closed form where one exists and the naive count elsewhere,
+unless the backend "naive" is named.
 ``curve_traces``, the one range path of ``curve-trace --lo/--hi``, ``equidist``
 and the curve sets, traces each sieved prime of a window once.
 """
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, sqrt
+from math import gcd, sqrt
 from operator import index
 from typing import Callable, Iterable, Iterator
 
@@ -219,39 +217,6 @@ def _prime_factors(n: int) -> list[int]:
     return fac
 
 
-def _primitive_root(p: int) -> int:
-    """Smallest primitive root mod p, by ascending search (reproducible)."""
-    if p == 2:
-        return 1
-    fac = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise RuntimeError("no primitive root found")  # unreachable for prime p
-
-
-def _dlog_table(p: int, g: int, M: int) -> np.ndarray:
-    """ind[v] = k mod M with g^k = v mod p (ind[0] unused), via sqrt(p) blocks."""
-    ind = np.zeros(p, dtype=np.int32)
-    pows = np.empty(p - 1, dtype=np.int64)
-    B = max(1, isqrt(p - 1))
-    small = np.empty(B, dtype=np.int64)
-    v = 1
-    for i in range(B):
-        small[i] = v
-        v = v * g % p
-    gB = v
-    big = 1
-    i = 0
-    while i < p - 1:
-        j = min(B, p - 1 - i)
-        pows[i : i + j] = small[:j] * big % p
-        big = big * gB % p
-        i += j
-    ind[pows] = np.arange(p - 1, dtype=np.int32) % M
-    return ind
-
-
 @lru_cache(maxsize=None)
 def _ramanujan_sums(M: int) -> tuple[int, ...]:
     """c_M(k) = sum_{d | gcd(k, M)} d mu(M/d) for k = 0..M-1.
@@ -348,57 +313,43 @@ def _cm_source(M: int, p: int) -> tuple[int, _Jacobi]:
     return -m * pow(n, -1, p) % p, jacobi
 
 
-def _dlog_source(M: int, p: int) -> tuple[int, _Jacobi]:
-    """r and J for any M from a discrete-log table mod p: Theta(p).
-
-    chi(g) = zeta for the smallest primitive root g, so r = g^((p-1)/M).  One
-    bincount over w = 2..p-1 gives the joint histogram H[u, v] = #{w : ind w
-    = u, ind(1 - w) = v mod M}, and J(chi^s, chi^t) = sum_{w != 0, 1}
-    chi^s(w) chi^t(1 - w) puts H[u, v] on zeta^(su + tv): an M x M fold.
-    """
-    _check_table_size(p)
-    g = _primitive_root(p)
-    ind = _dlog_table(p, g, M)
-    key = ind[2:] * M
-    key += ind[:1:-1]  # ind(1 - w) for w = 2..p-1
-    hist = np.bincount(key, minlength=M * M)
-    del ind, key
-    uv = np.flatnonzero(hist)
-    u, v, n = uv // M, uv % M, hist[uv]
-
-    def jacobi(s: int, t: int) -> list[int]:
-        z = np.zeros(M, dtype=np.int64)
-        np.add.at(z, (s * u + t * v) % M, n)
-        return z.tolist()
-
-    return pow(g, (p - 1) // M, p), jacobi
-
-
 def count_affine_charsum(curve: CurveSpec, p: int) -> int:
-    """Exact affine count by the Jacobi-sum formula of the module docstring.
-
-    Requires p = 1 mod M (other primes fall back to the naive count).  J
-    comes from the prime above p in O(log p) for M in (3, 4), and from a
-    discrete-log table otherwise: Theta(p) time and memory, up to NAIVE_LIMIT.
+    """Exact affine count by the Jacobi-sum formula of the module docstring
+    where it has a closed form: M in (3, 4) and p = 1 mod M, in O(log p).
+    Every other curve and prime falls back to the naive count, Theta(p) time
+    and memory, up to NAIVE_LIMIT.
     """
     p = index(p)
-    if p % curve.M != 1:
-        return count_affine_naive(curve, p)
-    _check_p(curve, p)
-    return _count_affine_charsum(curve, p)
+    _check_p(curve, p, need_mod_M=False)
+    return _counter(curve, "charsum" if p % curve.M == 1 else "naive")(curve, p)
 
 
 def _count_affine_charsum(curve: CurveSpec, p: int) -> int:
-    source = _cm_source if curve.M in _CM_MODULI else _dlog_source
-    return _jacobi_total(curve, p, *source(curve.M, p))
+    """The closed form, for M in _CM_MODULI and p = 1 mod M only."""
+    return _jacobi_total(curve, p, *_cm_source(curve.M, p))
+
+
+def _counter(curve: CurveSpec, backend: str | None) -> Callable[[CurveSpec, int], int]:
+    """The affine counter of ``backend`` on ``curve``, the one place that
+    reads a backend.
+
+    None and "charsum" both give the closed form for M in _CM_MODULI (it
+    needs p = 1 mod M) and the naive count otherwise; "naive" gives the naive
+    count, the oracle.  Each call reads the counters as module globals.
+    """
+    if backend not in (None, "naive", "charsum"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend != "naive" and curve.M in _CM_MODULI:
+        return _count_affine_charsum
+    return _count_affine_naive
 
 
 def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
     """TraceRecord for p = 1 mod M; normalized = trace / (2 g sqrt(p)).
 
-    backend None counts with the closed form for M in (3, 4), at any p, and
-    with the naive count otherwise; "naive" and "charsum" name one backend.
-    The Theta(p) counts raise beyond NAIVE_LIMIT.
+    backend None and "charsum" both count with the closed form for M in
+    (3, 4), at any p, and with the naive count otherwise; "naive" names the
+    naive count.  The naive count raises beyond NAIVE_LIMIT.
     """
     if curve.g < 1:
         raise ValueError("trace needs genus >= 1")
@@ -408,15 +359,7 @@ def trace(curve: CurveSpec, p: int, backend: str | None = None) -> TraceRecord:
 
 
 def _trace(curve: CurveSpec, p: int, backend: str | None) -> TraceRecord:
-    if backend is None:
-        count = _count_affine_charsum if curve.M in _CM_MODULI else _count_affine_naive
-    elif backend == "naive":
-        count = _count_affine_naive
-    elif backend == "charsum":
-        count = _count_affine_charsum
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return _record(curve, p, _nd(curve, p), count(curve, p))
+    return _record(curve, p, _nd(curve, p), _counter(curve, backend)(curve, p))
 
 
 def _record(curve: CurveSpec, p: int, n_d: int, affine: int) -> TraceRecord:
@@ -432,7 +375,7 @@ def curve_traces(
     """The TraceRecord of every prime in [lo, hi) that the trace is defined
     at, ascending, each traced once; the sieve proves them, so none is
     re-checked.  What tracing them would raise part way (genus 0, or a p
-    beyond NAIVE_LIMIT on a Theta(p) counter) is raised before the first
+    beyond NAIVE_LIMIT on the naive count) is raised before the first
     count.  A ``store`` supplies its backend and its records and keeps the
     new ones; without one, no record outlives the loop.
     """
@@ -442,7 +385,7 @@ def curve_traces(
     todo = [p for p in ps if p not in records] if records else ps
     if todo and curve.g < 1:
         raise ValueError("trace needs genus >= 1")
-    if backend == "naive" or curve.M not in _CM_MODULI:
+    if _counter(curve, backend) is _count_affine_naive:
         for p in todo:
             _check_table_size(p)
     for p in ps:
@@ -532,8 +475,9 @@ def load_trace_cache(path, curve: CurveSpec) -> list[TraceRecord]:
 class TraceStore:
     """Memoized traces for one curve, optionally file-backed.
 
-    ``get`` computes a miss with ``trace(curve, p, backend)``: by default the
-    O(log p) closed form for M in (3, 4) and the naive count otherwise.
+    ``get`` computes a miss with ``trace(curve, p, backend)``: by default, as
+    with "charsum", the O(log p) closed form for M in (3, 4) and the naive
+    count otherwise.
     ``curve_traces(curve, lo, hi, store)`` reads a window's records from the
     store and keeps the ones it counts, so ``save`` lets a long scan resume.
     """
