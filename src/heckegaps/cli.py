@@ -130,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=_num, default=None)
     p.add_argument("--hi", type=_num, default=None)
     p.add_argument("--backend", choices=("naive", "charsum"), default=None,
-                   help="point counter: naive (the Theta(p) table convolution, "
-                   "the oracle) or charsum, the default: the O(log p) Jacobi-sum "
-                   "closed form for M in {3, 4} (Ireland-Rosen ch. 9, Weil 1952) "
-                   "and the naive count otherwise; primes already in --cache "
-                   "are read back, not recounted")
+                   help="point counter: naive (Theta(p), over cosets of d-th powers "
+                   "in F_p*; the oracle) or charsum, the default: the O(log p) "
+                   "Jacobi-sum closed form for M in {3, 4} (Ireland-Rosen ch. 9, "
+                   "Weil 1952) and the naive count otherwise; primes already in "
+                   "--cache are read back, not recounted")
     p.add_argument("--cache", default=None, help="trace cache file to read/extend")
     _add_common(p)
 

@@ -26,9 +26,9 @@ or Z[i] above p (Weil, "Jacobi sums as Groessencharaktere", Trans. AMS 73,
 
 The total is a rational integer in Z[zeta_M], so it is its trace over Q, a
 sum of Ramanujan sums c_M(k) (Hardy & Wright, ch. XVI), divided by phi(M).
-``count_affine_naive``, a value-table convolution over F_p, is the oracle
-that the formula must match; it tabulates x^alpha and y^beta on half of F_p
-and mirrors the other half.
+``count_affine_naive``, the oracle that the formula must match, needs no
+Jacobi sums: it enumerates the cosets of d-th powers in F_p* that a x^alpha
+and b y^beta cover, from a primitive root, and counts the pairs that meet.
 
 Everything is integer arithmetic.  ``_counter`` is the one choice of
 counter: the closed form where one exists and the naive count elsewhere,
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, sqrt
+from math import gcd, isqrt, sqrt
 from operator import index
 from typing import Callable, Iterable, Iterator
 
@@ -148,30 +148,13 @@ def _check_table_size(p: int) -> None:
         raise ValueError(f"p={p} beyond the O(p) counting limit {NAIVE_LIMIT}")
 
 
-def _half_table(p: int, e: int, k: int) -> np.ndarray:
-    """k x^e mod p for x in [0, (p+1)/2), odd p: the other half of F_p is
-    p - x, whose value is (-1)^e k x^e.  Left-to-right square-and-multiply
-    on int64 in place, starting from the base."""
-    base = np.arange((p + 1) // 2, dtype=np.int64)
-    out = base.copy()
-    for bit in bin(e)[3:]:
-        out *= out
-        out %= p
-        if bit == "1":
-            out *= base
-            out %= p
-    if k % p != 1:
-        out *= k % p
-        out %= p
-    return out
-
-
 def count_affine_naive(curve: CurveSpec, p: int) -> int:
-    """#{(x, y) in F_p^2 : a x^alpha + b y^beta = c} by table convolution.
+    """#{(x, y) in F_p^2 : a x^alpha + b y^beta = c}, for any p not dividing abc.
 
-    Counts the values a x^alpha over half of F_p and mirrors them (x and
-    p - x differ by (-1)^alpha), then sums those counts at c - b y^beta over
-    the y half table and its mirror.  Works for any p not dividing abc.
+    x -> a x^alpha maps F_p* d-to-1 onto a H_d, H_d the d-th powers and d =
+    gcd(alpha, p - 1) (Ireland & Rosen ch. 8); likewise y -> b y^beta with e.
+    So N = d [c in a H_d] + e [c in b H_e] + d e #{w in b H_e : c - w in a H_d}:
+    one mask of a H_d read at c - b H_e, (p - 1)/d + (p - 1)/e values.
     """
     p = index(p)
     _check_p(curve, p, need_mod_M=False)
@@ -182,24 +165,41 @@ def _count_affine_naive(curve: CurveSpec, p: int) -> int:
     _check_table_size(p)
     if p == 2:
         return 2  # a, b, c odd: x + y = 1 over F_2
-    lhs = _half_table(p, curve.alpha, curve.a)
-    # a x^alpha = v has at most alpha <= 16 roots x, so n_lhs fits a byte
-    n_lhs = np.bincount(lhs, minlength=p).astype(np.uint8)
-    del lhs  # one side's value table at a time bounds the peak memory
-    if curve.alpha % 2:
-        n_lhs[1:] += n_lhs[:0:-1]  # v from x, -v from p - x; x = 0 has no mirror
-    else:
-        n_lhs *= 2
-        n_lhs[0] -= 1
-    rhs = _half_table(p, curve.beta, curve.b)
+    g = _primitive_root(p)
+    d, e = gcd(curve.alpha, p - 1), gcd(curve.beta, p - 1)
     c = curve.c % p
+    in_a = np.zeros(p, dtype=bool)
+    in_a[_coset(p, curve.a % p, pow(g, d, p), (p - 1) // d)] = True
+    idx = _coset(p, -curve.b % p, pow(g, e, p), (p - 1) // e)
+    idx -= p - c  # c - w for w in b H_e, in (-p, p): negative ones index from the end
+    c_in_b = pow(c * pow(curve.b, -1, p), (p - 1) // e, p) == 1
+    return d * int(in_a[c]) + e * c_in_b + d * e * int(np.count_nonzero(in_a[idx]))
 
-    def hits(idx: np.ndarray) -> int:
-        return int(np.take(n_lhs, idx, mode="wrap").sum(dtype=np.int64))
 
-    if curve.beta % 2:
-        return hits(c - rhs) + hits(c + rhs[1:])
-    return 2 * hits(c - rhs) - int(n_lhs[c])
+def _coset(p: int, k: int, h: int, n: int) -> np.ndarray:
+    """k h^j mod p for j < n, h of order n, by blocked powers: the rows
+    k h^(Bi) times the column h^j, j < B, B about sqrt(n), in one int64 outer
+    product; p <= NAIVE_LIMIT keeps each product below p^2 < 2^48."""
+    B = isqrt(n - 1) + 1
+    hB, v = pow(h, B, p), 1
+    col = [1] + [v := v * h % p for _ in range(B - 1)]
+    rows = [k] + [k := k * hB % p for _ in range(-(-n // B) - 1)]
+    powers = np.array(col + rows, dtype=np.int64)
+    out = powers[B:, None] * powers[:B]
+    out %= p
+    return out.ravel()[:n]
+
+
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the prime p."""
+    exps = [(p - 1) // q for q in _prime_factors(p - 1)]
+    for g in range(1, p):
+        for x in exps:
+            if pow(g, x, p) == 1:
+                break
+        else:
+            return g
+    raise RuntimeError("no primitive root found")  # unreachable for prime p
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -316,8 +316,8 @@ def _cm_source(M: int, p: int) -> tuple[int, _Jacobi]:
 def count_affine_charsum(curve: CurveSpec, p: int) -> int:
     """Exact affine count by the Jacobi-sum formula of the module docstring
     where it has a closed form: M in (3, 4) and p = 1 mod M, in O(log p).
-    Every other curve and prime falls back to the naive count, Theta(p) time
-    and memory, up to NAIVE_LIMIT.
+    Every other curve and prime falls back to the naive coset count, Theta(p)
+    time and memory, up to NAIVE_LIMIT.
     """
     p = index(p)
     _check_p(curve, p, need_mod_M=False)

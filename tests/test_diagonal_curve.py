@@ -256,6 +256,46 @@ def test_naive_matches_full_table_at_the_limit():
     assert count_affine_naive(curve, p) == _full_table_reference(curve, p)
 
 
+_COEFF = st.one_of(
+    st.integers(-60, 60),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+).filter(lambda v: v != 0)
+_PRIMES_3E4 = [int(p) for p in primes_in(2, 3 * 10**4)]
+
+
+@st.composite
+def _shape_and_prime(draw):
+    """A shape, then a prime p < 3e4 with d = gcd(alpha, p - 1) drawn first
+    among the d that occur, so each is as likely as any other: d = 1 (p = 2
+    for even alpha) included."""
+    alpha, beta = draw(st.sampled_from(ALL_SHAPES))
+    by_d = {}
+    for q in _PRIMES_3E4:
+        by_d.setdefault(math.gcd(alpha, q - 1), []).append(q)
+    d = draw(st.sampled_from(sorted(by_d)))
+    return (alpha, beta), draw(st.sampled_from(by_d[d]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_shape_and_prime(), _COEFF, _COEFF, _COEFF)
+def test_naive_matches_full_table_any_residue_class(shape_p, a, b, c):
+    (alpha, beta), p = shape_p
+    assume((a * b * c) % p)
+    curve = curve_new(a, b, c, alpha, beta)
+    assert count_affine_naive(curve, p) == _full_table_reference(curve, p)
+
+
+def test_primitive_root_has_full_order():
+    from sympy.ntheory import n_order
+
+    from heckegaps.diagonal_curve import _primitive_root
+
+    for p in primes_in(2, 2 * 10**4):
+        p = int(p)
+        assert n_order(_primitive_root(p), p) == p - 1, p
+
+
 @pytest.mark.parametrize("curve", [CIRCLE, CUBIC, QUARTIC, HYPER, TWISTED])
 def test_charsum_matches_naive_spot(curve):
     checked = 0
@@ -270,11 +310,6 @@ def test_charsum_matches_naive_spot(curve):
 
 CM_PAIRS = [(3, 3), (4, 2), (4, 4)]
 _CM_PRIMES = [int(p) for p in primes_in(5, 200_000) if p % 12 in (1, 5, 7)]
-_COEFF = st.one_of(
-    st.integers(-60, 60),
-    st.integers(2**64, 2**80),
-    st.integers(-(2**80), -(2**64)),
-).filter(lambda v: v != 0)
 
 
 @settings(max_examples=60, derandomize=True)
