@@ -12,21 +12,21 @@ yields m + 1 primes infinitely often in admissible tuples at distribution
 level theta.
 
 Everything up to the eigensolve is exact: a symmetric-power integral over
-the simplex is an integer sum over partitions over one factorial, and each
-Gram entry is an integer numerator over a known product of factorials, made
-into one Fraction.  Floats enter only at the solve, after a unit-diagonal
-congruence scaling of I (one correctly rounded integer division per entry)
-that sidesteps the factorial underflow raw conversion would hit for large k.
+the simplex is one coefficient of an integer power series (an O(B^2)
+recurrence) over one factorial, and each Gram entry is an integer numerator
+over a known product of factorials.  Floats enter only at the solve, after a
+unit-diagonal congruence scaling of I whose entries are each one correctly
+rounded integer division (the factorials cancel to short rising products),
+which sidesteps the factorial underflow raw conversion would hit for large k.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, comb, exp, factorial, lgamma, log, perm
+from math import ceil, comb, exp, factorial, lgamma, log, prod
 from typing import Sequence
 
 import numpy as np
@@ -80,50 +80,25 @@ def simplex_integral(exponents: Sequence[int]) -> Fraction:
     return Fraction(num, factorial(k + s))
 
 
-def _partitions(n: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _aut(lam: tuple[int, ...]) -> int:
-    r = 1
-    for c in Counter(lam).values():
-        r *= factorial(c)
-    return r
-
-
 @cache
 def _sym_integral(k: int, A: int, B: int) -> int:
     """The integer N with int_{R_k} (1 - P1)^A P2^B dt = N / (k + A + 2B)!.
 
-    Expanding P2^B with the multinomial theorem groups terms by the partition
-    lam of B giving the multiset of squared-variable exponents; for a
-    partition with l distinct slots there are (k)_l / aut ways to assign
-    variables, and each monomial integral is A! prod (2 lam_i)! over the
-    common factorial.  Every partition's term B! (k)_l prod (2 lam_i)! /
-    (aut prod lam_i!) is an integer; a remainder raises RuntimeError.
+    Expanding P2^B with the multinomial theorem, each exponent sequence
+    (m_1..m_k) summing to B contributes B! prod (2 m_i)! / m_i! times A! over
+    the common factorial, so N = A! B! [x^B] C(x)^k with
+    C(x) = sum_m (2m)!/m! x^m.  P = C^k satisfies P' C = k C' P, giving
+    p_0 = 1 and m p_m = sum_{j=1..m} ((k+1) j - m) c_j p_{m-j}: O(B^2)
+    integer steps.  Each p_m is an integer; a remainder raises RuntimeError.
     """
-    tot = 0
-    for lam in _partitions(B):
-        l = len(lam)
-        if l > k:
-            continue
-        num = factorial(B) * perm(k, l)
-        den = _aut(lam)
-        for part in lam:
-            num *= factorial(2 * part)
-            den *= factorial(part)
-        q, r = divmod(num, den)
+    c = [comb(2 * m, m) * factorial(m) for m in range(B + 1)]
+    p = [1]
+    for m in range(1, B + 1):
+        q, r = divmod(sum(((k + 1) * j - m) * c[j] * p[m - j] for j in range(1, m + 1)), m)
         if r:
-            raise RuntimeError(f"partition term of k={k}, B={B} is not an integer")
-        tot += q
-    return factorial(A) * tot
+            raise RuntimeError(f"series coefficient {m} of k={k} is not an integer")
+        p.append(q)
+    return factorial(A) * factorial(B) * p[B]
 
 
 def sieve_basis(k: int, degree: int) -> SieveBasis:
@@ -139,40 +114,60 @@ def sieve_basis(k: int, degree: int) -> SieveBasis:
     return SieveBasis(k=k, degree=degree, elements=elements)
 
 
-def build_forms(k: int, degree: int):
-    """Exact Gram matrices (I, J) over the sieve basis, as Fractions.
+def _integer_forms(k: int, degree: int):
+    """The basis, its degrees d_i = a_i + 2 b_i, and integer numerators (NI, NJ).
 
-    I is positive definite, J positive semidefinite.  The inner integral of
-    (1-P1)^a P2^b against t_k uses the one-variable reduction
+    I_ij = NI_ij / (k+d_i+d_j)! and J_ij = NJ_ij / ((d_i+1)! (d_j+1)!
+    (k+1+d_i+d_j)!).  The inner integral of (1-P1)^a P2^b against t_k uses
+    the one-variable reduction
 
         int_0^u (u - t)^a t^{2j} dt = a! (2j)! / (a + 2j + 1)! * u^{a+2j+1},
 
-    after binomially splitting P2 = P2' + t_k^2.  With d = a + 2b, element
-    (a, b) has integer weights W_j = C(b, j) a! (2j)! (d+1)! / (a+2j+1)!, and
-    every J term has A + 2B = d_i + d_j + 2, so each entry is an integer over
-    one denominator: I_ij over (k+d_i+d_j)!, J_ij over (d_i+1)! (d_j+1)!
-    (k+1+d_i+d_j)!.  Envelope: k <= 200, degree <= 14 (larger stays exact).
+    after binomially splitting P2 = P2' + t_k^2.  Element (a, b) of degree d
+    has integer weights W_j = C(b, j) a! (2j)! (d+1)! / (a+2j+1)!, and every
+    J term has A + 2B = d_i + d_j + 2, hence the common denominators.  The
+    terms of a J numerator depend on (j1, j2) only through t = j1 + j2, so
+    the small weights are convolved first: one integral product per t.
     """
     bas = sieve_basis(k, degree)
     els = bas.elements
     n = len(els)
-    deg = [a + 2 * b for a, b in els]
-    W = [[comb(b, j) * factorial(a) * factorial(2 * j) * factorial(a + 2 * b + 1)
-          // factorial(a + 2 * j + 1) for j in range(b + 1)] for a, b in els]
-    I = [[Fraction(0)] * n for _ in range(n)]
-    J = [[Fraction(0)] * n for _ in range(n)]
+    fact = [factorial(m) for m in range(degree + 2)]
+    W = [[comb(b, j) * fact[a] * fact[2 * j] * fact[a + 2 * b + 1] // fact[a + 2 * j + 1]
+          for j in range(b + 1)] for a, b in els]
+    NI = [[0] * n for _ in range(n)]
+    NJ = [[0] * n for _ in range(n)]
     for i, (a1, b1) in enumerate(els):
         for j in range(i, n):
             a2, b2 = els[j]
-            d = deg[i] + deg[j]
-            I[i][j] = I[j][i] = Fraction(_sym_integral(k, a1 + a2, b1 + b2), factorial(k + d))
-            s = 0
+            NI[i][j] = NI[j][i] = _sym_integral(k, a1 + a2, b1 + b2)
+            conv = [0] * (b1 + b2 + 1)
             for j1, w1 in enumerate(W[i]):
                 for j2, w2 in enumerate(W[j]):
-                    s += w1 * w2 * _sym_integral(
-                        k - 1, a1 + a2 + 2 * (j1 + j2) + 2, b1 + b2 - j1 - j2)
+                    conv[j1 + j2] += w1 * w2
+            NJ[i][j] = NJ[j][i] = sum(
+                w * _sym_integral(k - 1, a1 + a2 + 2 * t + 2, b1 + b2 - t)
+                for t, w in enumerate(conv))
+    return bas, [a + 2 * b for a, b in els], NI, NJ
+
+
+def build_forms(k: int, degree: int):
+    """Exact Gram matrices (I, J) over the sieve basis, as Fractions.
+
+    I is positive definite, J positive semidefinite.  Each entry is the
+    integer numerator of ``_integer_forms`` over its known factorial
+    denominator.  Envelope: k <= 200, degree <= 14 (larger stays exact).
+    """
+    bas, deg, NI, NJ = _integer_forms(k, degree)
+    n = len(deg)
+    I = [[Fraction(0)] * n for _ in range(n)]
+    J = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            d = deg[i] + deg[j]
+            I[i][j] = I[j][i] = Fraction(NI[i][j], factorial(k + d))
             den = factorial(deg[i] + 1) * factorial(deg[j] + 1) * factorial(k + 1 + d)
-            J[i][j] = J[j][i] = Fraction(s, den)
+            J[i][j] = J[j][i] = Fraction(NJ[i][j], den)
     return bas, I, J
 
 
@@ -205,32 +200,36 @@ def optimize_Mk(k: int, degree: int) -> VariationalResult:
 
     The pencil is reduced to an ordinary symmetric problem on the
     I-orthonormalized basis (congruence scaling to unit I-diagonal first,
-    using exact entry ratios so no factorial magnitudes ever meet a float,
-    then a Cholesky factor of the scaled I), and that matrix of at most a few
-    dozen rows is diagonalized in one dense ``eigh``.  Its top eigenvector is
-    mapped back to the original basis and scaled so its largest coefficient
-    is +1.  ``iterations`` is always 1: one dense solve.  Raises ValueError
-    when k is so large that the unscaled coefficients overflow a float; for
-    k >= 301 that is certain (sqrt(k!) = 1/sqrt(I_00) overflows), so it
-    raises before any form is built.
+    read from the integer numerators so no factorial magnitudes ever meet a
+    float, then a Cholesky factor of the scaled I), and that matrix of at
+    most a few dozen rows is diagonalized in one dense ``eigh``.  Its top
+    eigenvector is mapped back to the original basis and scaled so its
+    largest coefficient is +1.  ``iterations`` is always 1: one dense solve.
+    Raises ValueError when k is so large that the unscaled coefficients
+    overflow a float; for k >= 301 that is certain (sqrt(k!) = 1/sqrt(I_00)
+    overflows), so it raises before any form is built.
     """
     sieve_basis(k, degree)  # argument errors take precedence
     overflow = ValueError(f"k={k} is beyond the float reduction's range: "
                           "undoing the basis scaling overflows a float")
     if lgamma(k + 1) / 2 > log(sys.float_info.max):
         raise overflow
-    bas, I, J = build_forms(k, degree)
-    n = len(bas.elements)
-    diag = [(I[i][i].numerator, I[i][i].denominator) for i in range(n)]
+    bas, deg, NI, NJ = _integer_forms(k, degree)
+    n = len(deg)
+    dfact = [factorial(d + 1) for d in deg]
     In, Jn = np.empty((2, n, n))
-    for i, (p_i, q_i) in enumerate(diag):
+    for i in range(n):
         for j in range(i, n):
-            p_j, q_j = diag[j]
-            # F_ij / sqrt(I_ii I_jj) from the exact ratio under the root, as
-            # one correctly rounded int division (what float(Fraction) does)
-            for M, F in ((In, I), (Jn, J)):
-                a, b = F[i][j].numerator, F[i][j].denominator
-                M[i, j] = M[j, i] = (a * a * q_i * q_j / (b * b * p_i * p_j)) ** 0.5
+            # F_ij^2 / (I_ii I_jj) as one correctly rounded int division of
+            # the exact ratio: (k+2d_i)! (k+2d_j)! / (k+d_i+d_j)!^2 cancels to
+            # up / down, and J's denominator adds (mid+1) (d_i+1)! (d_j+1)!
+            lo, hi = sorted((deg[i], deg[j]))
+            mid = k + lo + hi
+            up = prod(range(mid + 1, k + 2 * hi + 1))
+            down = prod(range(k + 2 * lo + 1, mid + 1)) * NI[i][i] * NI[j][j]
+            In[i, j] = In[j, i] = (NI[i][j] ** 2 * up / down) ** 0.5
+            down *= ((mid + 1) * dfact[i] * dfact[j]) ** 2
+            Jn[i, j] = Jn[j, i] = (NJ[i][j] ** 2 * up / down) ** 0.5
     try:
         L = np.linalg.cholesky(In)
     except np.linalg.LinAlgError as e:
@@ -241,8 +240,9 @@ def optimize_Mk(k: int, degree: int) -> VariationalResult:
     evals, evecs = np.linalg.eigh(A)
     c_scaled = np.linalg.solve(L.T, evecs[:, -1])
     # undo the unit-diagonal scaling: original c_i = scaled_i / sqrt(I_ii)
+    diag = [Fraction(NI[i][i], factorial(k + 2 * d)) for i, d in enumerate(deg)]
     try:
-        scale = np.array([exp(-0.5 * (log(p) - log(q))) for p, q in diag])
+        scale = np.array([exp(-0.5 * (log(f.numerator) - log(f.denominator))) for f in diag])
         with np.errstate(over="raise"):
             c = c_scaled * scale
     except (OverflowError, FloatingPointError):

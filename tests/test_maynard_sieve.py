@@ -154,9 +154,53 @@ def test_optimize_Mk_bytes_pinned():
     assert repr(optimize_Mk(105, 11).Mk_lower) == "4.002069761225388"
 
 
+# sha256 over repr(Mk_lower) and coefficients.tobytes() at every degree of the
+# benchmark's sweeps: k = 6, 23, 105, 157 up to degree 10, 12, 11, 14
+def test_optimize_Mk_grid_bytes_pinned():
+    h = hashlib.sha256()
+    for k, top in ((6, 10), (23, 12), (105, 11), (157, 14)):
+        for degree in range(top + 1):
+            res = optimize_Mk(k, degree)
+            h.update(repr(res.Mk_lower).encode())
+            h.update(res.coefficients.tobytes())
+    assert h.hexdigest() == "6afb23bc25c5771ef54d64515ead7f45c10ce1a5d8254bd3e425e8866981afec"
+
+
+def _partition_sum(k, A, B):
+    """int_{R_k} (1 - P1)^A P2^B dt times (k + A + 2B)!, summed over the
+    partitions lam of B: l distinct slots take (k)_l / aut(lam) variable
+    assignments, each worth B! prod (2 lam_i)! / lam_i!."""
+    def partitions(n, top):
+        if n == 0:
+            yield ()
+        for first in range(min(n, top), 0, -1):
+            for rest in partitions(n - first, first):
+                yield (first,) + rest
+
+    tot = 0
+    for lam in partitions(B, B):
+        num = math.factorial(B) * math.perm(k, len(lam))
+        den = math.prod(math.factorial(lam.count(v)) for v in set(lam))
+        for part in lam:
+            num *= math.factorial(2 * part)
+            den *= math.factorial(part)
+        assert num % den == 0
+        tot += num // den
+    return math.factorial(A) * tot
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 22, 104, 156, 300])
+def test_sym_integral_series_matches_partition_sum(k):
+    for B in range(16):
+        ref = _partition_sum(k, 0, B)
+        for A in range(31):
+            assert maynard_sieve._sym_integral(k, A, B) == math.factorial(A) * ref
+
+
 def test_sym_integral_remainder_raises(monkeypatch):
-    # a partition term that is not an integer means a wrong formula
-    monkeypatch.setattr(maynard_sieve, "_aut", lambda lam: 7)
+    # a series coefficient that is not an integer means a wrong formula: the
+    # division by m must refuse it, not floor it away
+    monkeypatch.setattr(maynard_sieve, "comb", lambda n, r: Fraction(math.comb(n, r), 3))
     maynard_sieve._sym_integral.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not an integer"):
@@ -225,9 +269,9 @@ def test_optimizer_fails_before_building_forms_beyond_float_range(monkeypatch):
     # I_00 = 1/k!, so sqrt(k!) overflowing a float dooms every degree: the
     # error comes before any form is built, even at k = 10**29
     def no_forms(k, degree):
-        raise AssertionError("build_forms was called")
+        raise AssertionError("_integer_forms was called")
 
-    monkeypatch.setattr(maynard_sieve, "build_forms", no_forms)
+    monkeypatch.setattr(maynard_sieve, "_integer_forms", no_forms)
     for k in (301, 1000, 10**29):
         with pytest.raises(ValueError, match=f"k={k} is beyond the float reduction"):
             optimize_Mk(k, 11)
