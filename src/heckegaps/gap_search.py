@@ -115,11 +115,11 @@ def record_gaps(
     if n_records < 0:
         raise ValueError("n_records must be >= 0")
     members = np.asarray(set_spec.members(2, x + 1))
-    if members.size < 2:
-        return []
     diffs = np.diff(members)
-    order = np.lexsort((members[:-1], diffs))
-    out = []
-    for i in order[:n_records]:
-        out.append((int(diffs[i]), int(members[i]), int(members[i + 1])))
-    return out
+    k = min(n_records, diffs.size)
+    if k == 0:
+        return []
+    cut = np.partition(diffs, k - 1)[k - 1]  # the k-th smallest gap
+    near = np.flatnonzero(diffs <= cut)  # every record candidate, ascending in p
+    order = near[np.argsort(diffs[near], kind="stable")[:k]]
+    return [(int(diffs[i]), int(members[i]), int(members[i + 1])) for i in order]

@@ -109,7 +109,7 @@ def _segments(lo: int, hi: int, segment_odds: int):
 
 def _primes(lo: int, hi: int, segment_odds: int) -> np.ndarray:
     """``primes_in`` without the range check, for callers inside the engine."""
-    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    chunks = [np.array([2], dtype=np.int64)] if lo <= 2 < hi else []
     for seg_lo, buf in _segments(lo, hi, segment_odds):
         chunks.append(seg_lo + 2 * np.flatnonzero(buf).astype(np.int64))
     if not chunks:
@@ -135,20 +135,35 @@ def _pi(n: int) -> int:
     is p: S(v) -= S(v // p) - S(p - 1) for every v >= p^2.  Only the
     ~2 sqrt(n) values v = n // i are ever read, so two arrays hold them:
     ``small[v]`` = S(v) for v <= r = isqrt(n) and ``large[i]`` = S(n // i)
-    for i <= r.  Each prime p <= r is one numpy update of each array.
-    n // i // p = n // (i p) is ``large[i p]`` while i p <= r, a strided
-    slice, and at most r otherwise, a gather from ``small``.  Every right
-    side is computed before its write, and ``large`` is updated before the
-    ``small`` it reads, so every read sees S before p.  About
-    n^(3/4) / log n operations; no value exceeds n < 2^63.
+    for i <= r.
+
+    The head, each prime p <= c = icbrt(n), is one numpy update of each
+    array.  n // i // p = n // (i p) is ``large[i p]`` while i p <= r, a
+    strided slice, and at most r otherwise, a gather from ``small``.  Every
+    right side is computed before its write, and ``large`` is updated before
+    the ``small`` it reads, so every read sees S before p.
+
+    The tail, every prime q in (c, r], needs no loop.  q^2 > r, so q never
+    writes ``small``; it writes ``large[i]`` only for i <= n // q^2 < c + 1,
+    as (c + 1)^3 > n; it reads ``large[i q]`` with i q >= q > c, or
+    ``small``.  So no tail prime reads what another writes, and as the
+    result is ``large[1]``, only each q's i = 1 term reaches it:
+    pi(n) = S(n) - sum over q of (S(n // q) - pi(q - 1)), with S as the head
+    left it.  The sum is Meissel's P2 term (D. H. Lehmer, Illinois J. Math. 3
+    (1959)): it counts the products q q' <= n with c < q <= q', so it stays
+    below n < 2^63.  About n^(3/4) / log n operations, all in the head.
     """
     if n < 2:
         return 0
     r = isqrt(n)
+    c = round(n ** (1 / 3))  # icbrt(n) is c or c - 1: the float is good to 1e-9
+    c -= c ** 3 > n
     small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
     vlarge = n // np.arange(1, r + 1, dtype=np.int64)  # vlarge[i - 1] = n // i
     large = np.concatenate(([0], vlarge - 1))  # large[i] = S(n // i)
-    for p in _primes(2, r + 1, SEGMENT_ODDS).tolist():
+    primes = _primes(2, r + 1, SEGMENT_ODDS)
+    n_head = int(np.searchsorted(primes, c, side="right"))
+    for p in primes[:n_head].tolist():
         sp = int(small[p - 1])
         p2 = p * p
         top = min(r, n // p2)  # large[i] changes iff n // i >= p^2
@@ -157,7 +172,8 @@ def _pi(n: int) -> int:
         large[mid + 1:top + 1] -= small[vlarge[mid:top] // p] - sp
         if p2 <= r:
             small[p2:] -= small[np.arange(p2, r + 1) // p] - sp
-    return int(large[1])
+    tail = primes[n_head:]
+    return int(large[1]) - int((large[tail] - small[tail - 1]).sum())
 
 
 def count_primes(lo: int, hi: int) -> int:
@@ -169,24 +185,27 @@ def count_primes(lo: int, hi: int) -> int:
     by one segment and the base primes.  So narrow windows far out (up to
     2^50) never build sqrt(hi)-long arrays.
 
-    The rule is the measured crossover (2 cores, numpy 2.4.6, medians of 3).
+    The rule is a measured crossover (2 cores, numpy 2.4.6, medians of 3).
     The sieve costs a fixed time per number that grows with the base primes
     it loops over; ``_pi`` costs the same whatever the width.  Break-even is
-    the width where a sieve equals two ``_pi`` calls:
+    the width where a sieve equals two ``_pi`` calls.  The rule was fitted
+    to the break-even of an earlier ``_pi`` that looped over every prime up
+    to sqrt(hi) (column "fit"); ``_pi`` is faster now, so its break-even is
+    lower and the rule errs toward the sieve:
 
-        hi     sieve/number  _pi(hi)    break-even width  rule
-        1e7     1.2 ns        4-5 ms     6.5e6            6.5e6
-        1e8     1.5 ns       11-15 ms    1.4e7            1.4e7
-        1e9     2.8 ns       31-45 ms    3.0e7            3.0e7
-        1e10    6.7 ns       0.13-0.2 s  6e7              6.5e7
-        1e11   14 ns         0.6-0.7 s   7e7              1.9e8
-        1e12   24 ns         3.2-3.8 s   2.5e8            6.0e8
-        1e13   23 ns         15 s        1.3e9            1.9e9
-        2^50   53 ns         250-450 s   0.9e10-1.6e10    2.0e10
+        hi     sieve/number  _pi(hi)     fit              rule
+        1e7     1.2 ns        1.2 ms     6.5e6            6.5e6
+        1e8     1.5 ns        3-4 ms     1.4e7            1.4e7
+        1e9     2.8 ns       11-14 ms    3.0e7            3.0e7
+        1e10    6.7 ns       0.06-0.1 s  6e7              6.5e7
+        1e11   14 ns         0.3-0.4 s   7e7              1.9e8
+        1e12   24 ns         2.1-2.8 s   2.5e8            6.0e8
+        1e13   23 ns         9-10 s      1.3e9            1.9e9
+        2^50   53 ns         200-400 s   0.9e10-1.6e10    2.0e10
 
-    Up to 1e10 the hi^(1/3) term lands on the break-even; beyond, the
-    sqrt(hi) term stays above it, so no window picks ``_pi`` where the sieve
-    is faster.  At 2^50 ``_pi`` is extrapolated, not run (about 1.6 GB).
+    Up to 1e10 the hi^(1/3) term lands on the fit; beyond, the sqrt(hi)
+    term stays above it, so no window picks ``_pi`` where the sieve is
+    faster.  At 2^50 ``_pi`` is extrapolated, not run (about 1.6 GB).
     """
     _check_range(lo, hi)
     if hi - lo > max(3e4 * hi ** (1 / 3), 600 * hi ** 0.5):

@@ -31,6 +31,26 @@ def test_record_gaps_sorted_by_gap_then_position():
         assert q - p == g
 
 
+def lexsort_records(members, n_records):
+    """Every gap sorted by (gap, p), then the first n_records."""
+    members = np.asarray(members)
+    if members.size < 2:
+        return []
+    diffs = np.diff(members)
+    order = np.lexsort((members[:-1], diffs))[:n_records]
+    return [(int(diffs[i]), int(members[i]), int(members[i + 1])) for i in order]
+
+
+@pytest.mark.parametrize("x", [100, 101, 150, 10**3, 12_345, 10**5, 2 * 10**6])
+@pytest.mark.parametrize("spec", [all_primes_set(), peps_set(0.5), peps_set(0.1)],
+                         ids=["primes", "peps0.5", "peps0.1"])
+def test_record_gaps_match_full_sort(spec, x):
+    # twin primes tie at the cut; P_0.1 below 1000 has fewer gaps than asked
+    members = spec.members(2, x + 1)
+    for n_records in (0, 1, 2, 5, 10, 50, 10**6):
+        assert record_gaps(spec, x, n_records) == lexsort_records(members, n_records)
+
+
 def test_record_gaps_input_checked():
     with pytest.raises(ValueError):
         record_gaps(all_primes_set(), 99)

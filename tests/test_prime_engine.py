@@ -1,3 +1,7 @@
+import random
+from math import isqrt
+
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -48,6 +52,53 @@ def test_pi_agrees_with_trial_division():
     for n in range(2001):
         count += trial_division(n)
         assert _pi(n) == count
+
+
+def test_pi_at_cube_and_square_boundaries():
+    # _pi's head loop ends at c = icbrt(n) and the tail sum takes the primes
+    # above it: n around each cube moves c, n around each p^2 moves p in or
+    # out of the tail.  One sieve to 300^3 + 2 gives every
+    # primes_in(2, n + 1).size.
+    ps = primes_in(2, 300**3 + 2)
+    ns = [c**3 + d for c in range(1, 301) for d in (-1, 0, 1)]
+    ns += [p * p + d for p in primes_in(2, 1000).tolist() for d in (-1, 0)]
+    for n in ns:
+        assert _pi(n) == np.searchsorted(ps, n, side="right"), n
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda e: st.integers(min_value=max(2, 10 ** (e - 1)), max_value=10**e)))
+def test_pi_agrees_with_sieve_to_1e7(n):
+    assert _pi(n) == primes_in(2, n + 1).size
+
+
+def lucy_every_prime(n: int) -> int:
+    """The Legendre-Lucy recurrence with one update per prime up to sqrt(n),
+    n >= 4: ``_pi`` without its tail reduction, kept as the reference."""
+    r = isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)
+    vlarge = n // np.arange(1, r + 1, dtype=np.int64)
+    large = np.concatenate(([0], vlarge - 1))
+    for p in primes_in(2, r + 1).tolist():
+        sp = int(small[p - 1])
+        top = min(r, n // (p * p))
+        mid = min(top, r // p)
+        large[1:mid + 1] -= large[p:mid * p + 1:p] - sp
+        large[mid + 1:top + 1] -= small[vlarge[mid:top] // p] - sp
+        if p * p <= r:
+            small[p * p:] -= small[np.arange(p * p, r + 1) // p] - sp
+    return int(large[1])
+
+
+def test_pi_tail_matches_per_prime_recurrence():
+    # beyond the sieve oracle: log-uniform n to 1e10, and the tops of cube
+    # intervals [c^3, (c + 1)^3) with c and c + 2 prime
+    rng = random.Random(20151)
+    ns = [int(10 ** rng.uniform(4, 10)) for _ in range(12)]
+    ns += [(c + 1) ** 3 - 1 for c in (101, 1019, 1949)]
+    for n in ns:
+        assert _pi(n) == lucy_every_prime(n), n
 
 
 @st.composite
