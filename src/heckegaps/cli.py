@@ -296,24 +296,25 @@ def _cmd_equidist(args) -> None:
         cut = peps_cut(args.eps)  # checks eps before the sweep
         p, a, b = split_range(2, args.x + 1)
         keep = cut(p, a)
-        ratios = (a / np.sqrt(p))[keep]
-        angles = theta_of(a, b)[keep]
+        p, a, b = p[keep], a[keep], b[keep]
+        sample = a / np.sqrt(p) if args.stat == "ks" else theta_of(a, b)
     else:
         curve = _need_curve(args)
         if curve.g < 1:  # checked before the sweep, even if it finds no prime
             raise ValueError("trace needs genus >= 1")
         vals = np.fromiter((r.normalized for r in curve_traces(curve, 2, args.x + 1)), float)
-        ratios = vals[(vals >= -1.0) & (vals <= 1.0)]
-        angles = ratios % 1.0
+        sample = vals[(vals >= -1.0) & (vals <= 1.0)]
+        if args.stat == "et":
+            sample %= 1.0
     kind = measure.kind
     if args.stat == "ks":
-        n, d = ratios.size, ks_distance(ratios, measure)
+        n, d = sample.size, ks_distance(sample, measure)
         payload = {"n": n, "ks": d, "measure_kind": kind}
         header, row = "n,ks,measure_kind", (n, d, kind)
         text = f"n={n} ks={d!r} measure={kind}\n"
     else:
         (lo, hi), T = args.interval, args.T
-        n, (lhs, rhs) = angles.size, erdos_turan_bound(angles, args.interval, measure, T)
+        n, (lhs, rhs) = sample.size, erdos_turan_bound(sample, args.interval, measure, T)
         payload = {"n": n, "interval": [lo, hi], "T": T, "lhs": lhs, "rhs": rhs,
                    "measure_kind": kind}
         header, row = "n,interval_lo,interval_hi,T,lhs,rhs", (n, lo, hi, T, lhs, rhs)

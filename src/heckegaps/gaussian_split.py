@@ -9,12 +9,15 @@ unique, the ratio a/sqrt(p) fills (-1, 1), and the degree-4 character angle is
 Two paths compute the splits and agree element for element.  The scalar
 ``canonical_split`` runs Cornacchia's descent, which solves a^2 + D b^2 = p in
 the two CM fields of the package, Z[i] (D = 1) and Z[omega] (D = 3), from one
-root-of-unity step: w = z^((p-1)/m) for the least z that makes w a primitive
-m-th root of unity gives sqrt(-1) = w (m = 4) or sqrt(-3) = 2w + 1 (m = 3),
-deterministic so runs are reproducible.  The bulk ``split_range`` behind the
-big sweeps takes no roots: it enumerates the lattice points (a, b) whose norm
-a^2 + b^2 lands in a sieve segment and keeps those the sieve marks prime.  The
-scalar path is its oracle.
+square root of -D mod p.  For D = 1 the Miller-Rabin run that proves p prime
+usually meets sqrt(-1) on its way (``_miller_rabin`` returns it), and the
+public entry points pass it on.  Otherwise one root-of-unity step finds it:
+w = z^((p-1)/m) for the least z that makes w a primitive m-th root of unity
+gives sqrt(-1) = w (m = 4) or sqrt(-3) = 2w + 1 (m = 3), deterministic so
+runs are reproducible.  Both roots of -1 give the same pair.  The bulk
+``split_range`` behind the big sweeps takes no roots: it enumerates the
+lattice points (a, b) whose norm a^2 + b^2 lands in a sieve segment and keeps
+those the sieve marks prime.  The scalar path is its oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .prime_engine import SEGMENT_ODDS, _check_range, _segments, is_prime
+from .prime_engine import SEGMENT_ODDS, _check_range, _miller_rabin, _segments
 
 # split_range holds lattice points and their norms in int32, so hi <= 2^31.
 # Each segment also spends one row per even b < sqrt(hi): about 23k rows for
@@ -58,24 +61,29 @@ def cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
     p = index(p)
     if D not in (1, 3):
         raise ValueError("D must be 1 or 3")
-    if not is_prime(p):
+    root = _miller_rabin(p)
+    if root is None:
         raise ValueError(f"{p} is not prime")
-    return _cornacchia(p, D)
+    return _cornacchia(p, D, root if D == 1 else 0)
 
 
-def _cornacchia(p: int, D: int) -> Optional[tuple[int, int]]:
-    """``cornacchia`` for a prime p and D in {1, 3} the caller has checked."""
+def _cornacchia(p: int, D: int, root: int = 0) -> Optional[tuple[int, int]]:
+    """``cornacchia`` for a prime p and D in {1, 3} the caller has checked;
+    a nonzero ``root`` (D = 1 only) is a sqrt(-1) mod p to start from."""
     if p == 2:
         return (1, 1) if D == 1 else None
     m = 4 if D == 1 else 3
     if p % m != 1:
         return None
-    # the least z >= 2 with w^2 != 1 makes w a primitive m-th root of unity:
-    # sqrt(-1) = w, or sqrt(-3) = 2w + 1 as (2w + 1)^2 = 4(w^2 + w + 1) - 3.
+    # sqrt(-1) is ``root`` when Miller-Rabin met one.  Else the least
+    # z >= 2 with w^2 != 1, w = z^((p-1)/m), makes w a primitive m-th root of
+    # unity: sqrt(-1) = w, or sqrt(-3) = 2w + 1 as (2w + 1)^2 = 4(w^2 + w + 1) - 3.
     # Either sign serves: the descent from p - r > p/2 steps to r.
-    z = 2
-    while (w := pow(z, (p - 1) // m, p)) * w % p == 1:
-        z += 1
+    w = root
+    if not w:
+        z = 2
+        while (w := pow(z, (p - 1) // m, p)) * w % p == 1:
+            z += 1
     a, b = p, (w if D == 1 else (2 * w + 1) % p)
     lim = isqrt(p)
     while b > lim:
@@ -105,11 +113,12 @@ def canonical_split(p: int) -> Optional[SplitPrime]:
     canonical prime is a no-op (the normal form is stable).
     """
     p = index(p)
+    root = _miller_rabin(p)
+    if root is None:
+        raise ValueError(f"{p} is not prime")
     if p == 2 or p % 4 == 3:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         return None
-    pair = cornacchia(p, 1)
+    pair = _cornacchia(p, 1, root)
     if pair is None:
         return None
     a, b = pair  # a odd, b even by the D=1 ordering
@@ -136,9 +145,10 @@ def in_P_eps(p: int, eps: float) -> bool:
     False for every other integer, composites and n < 2 included.
     """
     p, cut = index(p), peps_cut(eps)
-    if not is_prime(p) or p % 4 != 1:
+    root = _miller_rabin(p)
+    if root is None or p % 4 != 1:
         return False
-    return bool(cut(p, _cornacchia(p, 1)[0]))
+    return bool(cut(p, _cornacchia(p, 1, root)[0]))
 
 
 def _isqrt_vec(n: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import isqrt
+from typing import Optional
 
 import numpy as np
 
@@ -38,34 +39,51 @@ _PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 2^64.
+    """Deterministic Miller-Rabin, exact for all n < 2^64: ``_miller_rabin``
+    with its square root of -1 dropped.
 
     n < psi_k is tested with the first k ``MR_BASES`` only (k <= 12).
     Larger n raise ValueError: the twelve bases are only a proof below 2^64,
     and composites above it pass all of them.
     """
+    return _miller_rabin(n) is not None
+
+
+def _miller_rabin(n: int) -> Optional[int]:
+    """The Miller-Rabin test of ``is_prime``, keeping a square root of -1 it meets.
+
+    None when n is not prime.  For a prime n, each base a runs the chain
+    a^d, a^(2d), ..., d = (n - 1) / 2^s odd; when one first reaches n - 1 at
+    a step j >= 1, the element x before it has x^2 = -1 mod n, and the first
+    such x is returned.  0 when no chain gives one: for n = 2, for n = 3
+    mod 4 (s = 1), for n among the bases, and for n = 1 mod 4 when every base
+    a tried has a^(2d) = 1 (for n = 5 mod 8: when each is a square mod n).
+    """
     if n >= 1 << 64:
         raise ValueError(f"{n} is beyond the exact Miller-Rabin range (n < 2^64)")
     if n < 2:
-        return False
+        return None
     for p in MR_BASES:
         if n % p == 0:
-            return n == p
+            return 0 if n == p else None
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
+    root = 0
     for a in MR_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+            y = x * x % n
+            if y == n - 1:
+                root = root or x
                 break
+            x = y
         else:
-            return False
-    return True
+            return None
+    return root
 
 
 def _check_range(lo: int, hi: int) -> None:

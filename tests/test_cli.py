@@ -250,12 +250,12 @@ def test_curve_range_proves_no_prime_again(capsys, monkeypatch):
     from heckegaps import gaussian_split
 
     calls = []
-    for mod in (diagonal_curve, gaussian_split):
-        def counting(n, check=mod.is_prime):
+    for mod, name in ((diagonal_curve, "is_prime"), (gaussian_split, "_miller_rabin")):
+        def counting(n, check=getattr(mod, name)):
             calls.append(n)
             return check(n)
 
-        monkeypatch.setattr(mod, "is_prime", counting)
+        monkeypatch.setattr(mod, name, counting)
     code, out, _ = run_cli(capsys, "curve-trace", "--curve", "1,1,1,3,3",
                            "--lo", "2", "--hi", "2000")
     assert code == 0 and out

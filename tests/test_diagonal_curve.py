@@ -116,15 +116,14 @@ def test_trace_checks_primality_once(monkeypatch):
     from heckegaps import diagonal_curve, gaussian_split
 
     calls = []
-    check = diagonal_curve.is_prime
+    # the closed form takes its prime above p from the unchecked descent, so
+    # the Miller-Rabin behind gaussian_split's entry points must not run
+    for mod, name in ((diagonal_curve, "is_prime"), (gaussian_split, "_miller_rabin")):
+        def counting(n, check=getattr(mod, name)):
+            calls.append(n)
+            return check(n)
 
-    def counting(n):
-        calls.append(n)
-        return check(n)
-
-    monkeypatch.setattr(diagonal_curve, "is_prime", counting)
-    # the closed form takes its prime above p from the unchecked descent
-    monkeypatch.setattr(gaussian_split, "is_prime", counting)
+        monkeypatch.setattr(mod, name, counting)
     assert trace(CUBIC, 10009, backend="naive").p == 10009
     assert calls == [10009]
     for curve in (CUBIC, QUARTIC):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,8 +27,14 @@ from heckegaps.diagonal_curve import (
     nd,
     trace,
 )
-from heckegaps.gaussian_split import canonical_split, cornacchia, in_P_eps
-from heckegaps.measures import arcsine, cm_mixture, uniform01
+from heckegaps.gaussian_split import (
+    canonical_split,
+    cornacchia,
+    in_P_eps,
+    split_range,
+    theta_of,
+)
+from heckegaps.measures import arcsine, cm_mixture, mass, uniform01
 from heckegaps.prime_engine import primes_in
 
 
@@ -100,6 +107,41 @@ def test_erdos_turan_inequality_uniform(xs, u, v, T):
     lo, hi = min(u, v), max(u, v)
     lhs, rhs = erdos_turan_bound(np.array(xs), (lo, hi), uniform01(), T)
     assert lhs <= rhs + 1e-9
+
+
+def exp_per_m_erdos_turan(angles, interval, m, T):
+    """The bound with one np.exp of every angle per m: the reference for
+    ``erdos_turan_bound``'s power recurrence."""
+    a = np.asarray(angles, dtype=np.float64) % 1.0
+    lo, hi = interval
+    lhs = abs(int(((a >= lo) & (a <= hi)).sum()) - mass(m, interval) * a.size)
+    rhs = a.size / T
+    phases = 2.0j * np.pi * a
+    for mm in range(1, T + 1):
+        rhs += 2.0 * (1.0 / T + 1.0 / mm) * abs(np.exp(mm * phases).sum())
+    return float(lhs), float(rhs)
+
+
+@pytest.mark.parametrize("T", [2, 5, 50, 500])
+def test_erdos_turan_powers_match_exp_per_m(T, capsys):
+    p, a, b = split_range(2, 10**5)
+    rng = np.random.default_rng(T)
+    for angles in (theta_of(a, b), rng.random(5000), rng.random(500) * 1e-3):
+        for interval in ((0.0, 0.25), (0.1, 0.35)):
+            for m in (uniform01(), arcsine()):
+                lhs, rhs = erdos_turan_bound(angles, interval, m, T)
+                want_lhs, want_rhs = exp_per_m_erdos_turan(angles, interval, m, T)
+                assert lhs == want_lhs
+                assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0)
+    # the CLI's n and lhs keep their bytes
+    main(["equidist", "--set", "peps", "--eps", "0.5", "--x", "1e5", "--stat", "et",
+          "--interval", "0.1,0.35", "--T", str(T), "--format", "json"])
+    got = json.loads(capsys.readouterr().out)
+    keep = np.abs(a) <= 0.5 * np.sqrt(p)
+    want_lhs, want_rhs = exp_per_m_erdos_turan(
+        theta_of(a, b)[keep], (0.1, 0.35), arcsine(), T)
+    assert (got["n"], got["lhs"]) == (int(keep.sum()), want_lhs)
+    assert got["rhs"] == pytest.approx(want_rhs, rel=1e-12, abs=0)
 
 
 def test_all_primes_set():

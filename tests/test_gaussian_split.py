@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from sympy.solvers.diophantine.diophantine import cornacchia as sympy_cornacchia
 
 from heckegaps import gaussian_split
 from heckegaps.gaussian_split import (
+    SplitPrime,
     canonical_split,
     cornacchia,
     in_P_eps,
+    peps_cut,
     split_range,
     theta_of,
 )
-from heckegaps.prime_engine import SEGMENT_ODDS, primes_in
+from heckegaps.prime_engine import SEGMENT_ODDS, _miller_rabin, primes_in
 
 SPLIT_PRIMES_BELOW_1000 = [int(p) for p in primes_in(2, 1000) if p % 4 == 1]
 
@@ -91,6 +94,77 @@ def test_cornacchia_agrees_with_sympy_below_2_64(D, n):
     key = frozenset if D == 1 else tuple  # sympy orders D = 1 pairs differently
     want = {key(s) for s in sympy_cornacchia(1, D, p) if min(s) > 0}
     assert want == ({key(got)} if got else set())
+
+
+def z_loop_cornacchia(p, D):
+    """Cornacchia with sqrt(-D) always from the least z >= 2 whose
+    w = z^((p-1)/m) has w^2 != 1, never from Miller-Rabin: the reference
+    for the root ``_miller_rabin`` hands over."""
+    if p == 2:
+        return (1, 1) if D == 1 else None
+    m = 4 if D == 1 else 3
+    if p % m != 1:
+        return None
+    z = 2
+    while (w := pow(z, (p - 1) // m, p)) * w % p == 1:
+        z += 1
+    a, b = p, (w if D == 1 else (2 * w + 1) % p)
+    while b > math.isqrt(p):
+        a, b = b, a % b
+    rem = p - b * b
+    if rem % D:
+        return None
+    s = math.isqrt(rem // D)
+    if s == 0 or s * s != rem // D:
+        return None
+    a, b = b, s
+    return (b, a) if D == 1 and a % 2 == 0 else (a, b)
+
+
+def far_split_primes(count, seed):
+    """``count`` primes p = 1 mod 4, bit lengths uniform in 3..64, from sympy."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        e = rng.randint(3, 64)
+        p = rng.randrange(1 << (e - 1), 1 << e) & ~3 | 1
+        if sympy.isprime(p):
+            out.append(p)
+    return out
+
+
+def test_z_loop_fallback_primes():
+    # the primes = 1 mod 4 whose Miller-Rabin run meets no sqrt(-1): p is
+    # one of the bases, or every base a it tries has a^d = +-1 mod p
+    fallback = [p for p in map(int, primes_in(2, 2 * 10**5))
+                if p % 4 == 1 and _miller_rabin(p) == 0]
+    assert len(fallback) == 326
+    assert {5, 13, 73, 89, 233, 281, 337} <= set(fallback)
+    # all in the first corpus of test_splits_match_the_z_loop
+    assert sum(p < 10**5 for p in fallback) == 181
+
+
+@pytest.mark.parametrize("corpus", ["primes_below_1e5", "random_to_2_64"])
+def test_splits_match_the_z_loop(corpus):
+    # either root of -1 gives the same pair, so handing over Miller-Rabin's
+    # root changes no output; the fallback primes take the z-loop itself
+    if corpus == "primes_below_1e5":
+        primes = list(map(int, primes_in(2, 10**5)))
+    else:
+        primes = far_split_primes(2000, 2403)
+    for p in primes:
+        assert cornacchia(p, 3) == z_loop_cornacchia(p, 3), p
+        pair = z_loop_cornacchia(p, 1)
+        assert cornacchia(p, 1) == pair, p
+        if p % 4 != 1:
+            assert canonical_split(p) is None and not in_P_eps(p, 1.0)
+            continue
+        a, b = pair
+        a = a if a % 4 == 1 else -a
+        want = SplitPrime(p=p, a=a, b=b, ratio=a / math.sqrt(p),
+                          theta=float(theta_of(a, b)))
+        assert canonical_split(p) == want, p
+        for eps in (0.1, 0.5, 0.9):
+            assert in_P_eps(p, eps) == bool(peps_cut(eps)(p, a)), (p, eps)
 
 
 def test_canonical_split_frozen():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from heckegaps import prime_engine
 from heckegaps.prime_engine import (
     SEGMENT_ODDS,
+    _miller_rabin,
     _pi,
     count_primes,
     is_prime,
@@ -287,6 +288,38 @@ def test_is_prime_agrees_with_sieve_around_psi(psi):
 def test_is_prime_agrees_with_twelve_bases_and_sympy(n):
     n |= 1  # odd, and still below 2^64
     assert is_prime(n) == reference_is_prime(n) == sympy.isprime(n)
+
+
+def random_primes(count, seed):
+    """``count`` primes, their bit lengths uniform in 3..64, from sympy."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        e = rng.randint(3, 64)
+        n = rng.randrange(1 << (e - 1), 1 << e) | 1
+        if sympy.isprime(n):
+            out.append(n)
+    return out
+
+
+def test_miller_rabin_is_none_exactly_off_the_primes():
+    rng = random.Random(2401)
+    near_psi = [v + k for v in DISTINCT_PSI for k in range(-3, 4)]
+    for n in [*range(10**5), *near_psi, *(rng.randrange(1 << 64) for _ in range(2000))]:
+        assert (_miller_rabin(n) is None) == (not sympy.isprime(n)), n
+
+
+def test_miller_rabin_root_squares_to_minus_one():
+    primes = primes_in(2, 10**5).tolist() + random_primes(2000, 2402)
+    roots = {p: _miller_rabin(p) for p in primes}
+    for p, r in roots.items():
+        assert 0 <= r < p, p
+        if r:
+            assert r * r % p == p - 1, p
+        if p % 4 == 3:
+            assert r == 0, p  # -1 is no square mod p
+    # most primes = 1 mod 4 bring their root; the others take the z-loop
+    split = [r for p, r in roots.items() if p % 4 == 1]
+    assert 0.9 * len(split) < sum(r != 0 for r in split) < len(split)
 
 
 def test_segment_boundaries_consistent():
