@@ -1,11 +1,14 @@
 """Window scans and record gaps inside constrained prime sets.
 
-``scan_tuple`` slides an admissible tuple over (x, 2x] and histograms how many
-of the shifted offsets land in the set, using one boolean membership bitmap
-and k shifted slices.  ``record_gaps`` lists the smallest gaps between
-consecutive set members.  Nothing here asserts cluster guarantees; the
-scanner reports what it finds and re-verifies every reported hit against the
-membership predicate.
+Both scans are one ascending pass over the set's members, in blocks of
+``BLOCK`` values, each block one ``members`` call.  ``scan_tuple`` slides an
+admissible tuple over (x, 2x] and histograms how many of the shifted offsets
+land in the set: every block adds its member bitmap into one hit counter per
+window, a byte for up to 255 offsets.  ``record_gaps`` lists the smallest gaps
+between consecutive set members; the pass carries the last member across
+block edges.  Nothing here asserts cluster guarantees; the scanner reports
+what it finds and re-verifies every reported hit against the membership
+predicate.
 """
 
 from __future__ import annotations
@@ -21,6 +24,19 @@ from .tuples import AdmissibleTuple, make_tuple
 # ``scan_tuple`` reports at most this many best windows and record pairs.
 MAX_WINDOWS = 20
 MAX_PAIRS = 50
+
+# Values per block of the member pass: a scan holds its x bytes of hit
+# counters plus one block (its members, and a bitmap of at most this many
+# bytes).  Tuple scans at x near 10^6 and record gaps up to 2 * 10^6 stay one
+# block.  Correctness must not (and does not) depend on this value; tests
+# exercise blocks of a few dozen values.
+BLOCK = 1 << 21
+
+# The hit histogram counts each level in one pass over the counters up to
+# this many levels; beyond, it bincounts chunks of CHUNK counters, since a
+# bincount widens what it reads to intp.
+MAX_LEVEL_PASSES = 16
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -41,6 +57,118 @@ def _as_tuple(H: Union[AdmissibleTuple, Sequence[int]]) -> AdmissibleTuple:
     return make_tuple(H)
 
 
+def _member_blocks(set_spec: SetSpec, lo: int, hi: int):
+    """(b_lo, b_hi, members) for ascending blocks of BLOCK values over [lo, hi).
+
+    The sets hold primes only, so the blocks start at max(lo, 2).  A span of
+    one block is one ``members(lo, hi)`` call.  Of a longer span the top block
+    is enumerated first, before this returns: a span the set refuses (beyond
+    its range or a counting limit) then fails before any other work, with the
+    refusal of the whole span.
+    """
+    start = max(lo, 2)
+    if hi - start <= BLOCK:
+        return iter([(start, hi, np.asarray(set_spec.members(lo, hi)))])
+    top_lo = start + (hi - start - 1) // BLOCK * BLOCK
+    try:
+        top = np.asarray(set_spec.members(top_lo, hi))
+    except ValueError:
+        set_spec.members(lo, hi)
+        raise
+
+    def blocks():
+        for b_lo in range(start, top_lo, BLOCK):
+            yield b_lo, b_lo + BLOCK, np.asarray(set_spec.members(b_lo, b_lo + BLOCK))
+        yield top_lo, hi, top
+
+    return blocks()
+
+
+class _SmallestGaps:
+    """The n smallest gaps (gap, p) between consecutive members, ordered by
+    gap, then p, fed the members in ascending blocks."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.last = None  # the last member fed
+        self.gaps = np.empty(0, dtype=np.int64)
+        self.ps = np.empty(0, dtype=np.int64)
+
+    def add(self, members: np.ndarray) -> None:
+        if self.n == 0 or members.size == 0:
+            return
+        if self.last is not None:
+            members = np.concatenate(([self.last], members))
+        self.last = members[-1]
+        diffs = np.diff(members)
+        if self.gaps.size == self.n:
+            # every p kept is below this block's, so a tie with the largest
+            # gap kept loses
+            near = np.flatnonzero(diffs < self.gaps[-1])
+        elif diffs.size > self.n:
+            near = np.flatnonzero(diffs <= np.partition(diffs, self.n - 1)[self.n - 1])
+        else:
+            near = np.arange(diffs.size)
+        if near.size == 0:
+            return
+        gaps = np.concatenate((self.gaps, diffs[near]))
+        ps = np.concatenate((self.ps, members[near]))
+        keep = np.argsort(gaps, kind="stable")[: self.n]
+        self.gaps, self.ps = gaps[keep], ps[keep]
+
+    def records(self) -> list[tuple[int, int, int]]:
+        return [(g, p, p + g) for g, p in zip(self.gaps.tolist(), self.ps.tolist())]
+
+
+def _histogram(hits: np.ndarray, mx: int, k: int) -> dict[int, int]:
+    """{j: windows with j hits} for j = 0..k, never widening all of ``hits``."""
+    counts = np.zeros(k + 1, dtype=np.int64)
+    if mx <= MAX_LEVEL_PASSES:
+        for j in range(1, mx + 1):
+            counts[j] = np.count_nonzero(hits == j)
+        counts[0] = hits.size - counts.sum()
+    else:
+        for i in range(0, hits.size, CHUNK):
+            counts += np.bincount(hits[i : i + CHUNK], minlength=k + 1)
+    return {j: int(c) for j, c in enumerate(counts)}
+
+
+def _first_at(hits: np.ndarray, value: int, limit: int) -> list[int]:
+    """The first ``limit`` indices i with hits[i] == value, ascending."""
+    found: list[int] = []
+    for i in range(0, hits.size, CHUNK):
+        found += (i + np.flatnonzero(hits[i : i + CHUNK] == value)).tolist()
+        if len(found) >= limit:
+            break
+    return found[:limit]
+
+
+def _members_among(
+    set_spec: SetSpec, values: np.ndarray, last: tuple[int, int, np.ndarray]
+) -> set[int]:
+    """The members among the ascending ``values``: those in the pass's last
+    block from its members, the others from one ``members`` call per run of
+    values within BLOCK of the run's first."""
+    b_lo, _, members = last
+    found = _among(values, members)
+    rest = values[(values >= 2) & (values < b_lo)]
+    i = 0
+    while i < rest.size:
+        j = int(np.searchsorted(rest, rest[i] + BLOCK))
+        run = rest[i:j]
+        found |= _among(run, np.asarray(set_spec.members(int(run[0]), int(run[-1]) + 1)))
+        i = j
+    return found
+
+
+def _among(values: np.ndarray, members: np.ndarray) -> set[int]:
+    """The entries of ``values`` found in the ascending ``members``."""
+    at = np.searchsorted(members, values)
+    hit = at < members.size
+    hit[hit] = members[at[hit]] == values[hit]
+    return set(values[hit].tolist())
+
+
 def scan_tuple(
     set_spec: SetSpec,
     H: Union[AdmissibleTuple, Sequence[int]],
@@ -48,11 +176,16 @@ def scan_tuple(
 ) -> ScanReport:
     """Hit counts of {n + h_i} against the set for n in (x, 2x].
 
-    Membership is resolved against the precomputed sorted member list for
-    (x, 2x + diameter]; the windows achieving the maximum count are returned
-    (the first ``MAX_WINDOWS``) with each hit re-verified through
-    ``set_spec.contains``.  Sensible output needs x comfortably larger than
-    the diameter; tiny x are allowed for smoke tests.
+    The tested values n + h fill (x + h_min, 2x + h_max]; one pass over its
+    members in blocks of ``BLOCK`` values counts the hits of every window, in
+    x counters of the narrowest unsigned dtype that holds k, and keeps the
+    smallest gaps between consecutive members of that span.  Memory is those
+    x bytes (for k <= 255) plus one block, whatever the diameter.  The windows
+    achieving the maximum count are returned (the first ``MAX_WINDOWS``,
+    ascending) with each hit re-verified through ``set_spec.contains``;
+    ``record_pairs`` are the first ``MAX_PAIRS`` pairs at the minimal gap,
+    ascending in p.  Sensible output needs x comfortably larger than the
+    diameter; tiny x are allowed for smoke tests.
     """
     tup = _as_tuple(H)
     if not tup.admissible:
@@ -60,48 +193,50 @@ def scan_tuple(
     if x < 2:
         raise ValueError("x must be >= 2")
     offs = tup.offsets
-    diam = tup.diameter
-    # tested values are n + h for n in (x, 2x]: they fill (x + h_min, 2x + h_max]
-    lo = x + 1 + offs[0]
-    members = np.asarray(set_spec.members(lo, 2 * x + offs[-1] + 1))
-    bitmap = np.zeros(x + diam, dtype=bool)  # index = value - lo
-    if members.size:
-        bitmap[members - lo] = True
-    hits = np.zeros(x, dtype=np.int64)
-    for h in offs:
-        sl = h - offs[0]
-        hits += bitmap[sl : sl + x]
-    histogram = {int(i): int(c) for i, c in enumerate(np.bincount(hits, minlength=len(offs) + 1))}
-    mx = int(hits.max()) if x > 0 else 0
-    ns = (x + 1) + np.nonzero(hits == mx)[0]
+    k = len(offs)
+    blocks = _member_blocks(set_spec, x + 1 + offs[0], 2 * x + offs[-1] + 1)
+    hits = np.zeros(x, dtype=np.min_scalar_type(k))  # hits[n - x - 1]
+    gaps = _SmallestGaps(MAX_PAIRS)
+    for last in blocks:
+        b_lo, b_hi, members = last
+        gaps.add(members)
+        # the values [v0, v1) of this block that offset h tests
+        spans = [(h, max(b_lo, x + 1 + h), min(b_hi, 2 * x + 1 + h)) for h in offs]
+        spans = [(h, v0, v1) for h, v0, v1 in spans if v0 < v1]
+        if not spans:
+            continue
+        base = spans[0][1]
+        bitmap = np.zeros(spans[-1][2] - base, dtype=np.uint8)
+        inside = members[(members >= base) & (members < base + bitmap.size)]
+        bitmap[inside - base] = 1
+        for h, v0, v1 in spans:
+            hits[v0 - h - x - 1 : v1 - h - x - 1] += bitmap[v0 - base : v1 - base]
+    mx = int(hits.max())
+    ns = [x + 1 + i for i in _first_at(hits, mx, MAX_WINDOWS)]
+    member = _members_among(set_spec, np.unique(np.add.outer(ns, offs)), last)
     best = []
-    for n in ns[:MAX_WINDOWS]:
-        n = int(n)
-        hit_offs = tuple(h for h in offs if bitmap[n + h - lo])
+    for n in ns:
+        hit_offs = tuple(h for h in offs if n + h in member)
+        if len(hit_offs) != mx:
+            raise RuntimeError(f"stale membership: window {n} counted {mx} hits, "
+                               f"its members {len(hit_offs)}")
         for h in hit_offs:
             if not set_spec.contains(n + h):
                 raise RuntimeError(
                     f"stale membership: {n + h} failed re-verification"
                 )
         best.append((n, hit_offs))
-    if members.size >= 2:
-        diffs = np.diff(members)
-        mg = int(diffs.min())
-        where = np.nonzero(diffs == mg)[0][:MAX_PAIRS]
-        pairs = tuple(
-            (mg, int(members[i]), int(members[i + 1])) for i in where
-        )
-    else:
-        mg, pairs = None, ()
+    recs = gaps.records()
+    mg = recs[0][0] if recs else None
     return ScanReport(
         set_label=set_spec.label,
         offsets=offs,
         x=x,
-        histogram=histogram,
+        histogram=_histogram(hits, mx, k),
         max_hits=mx,
         best_windows=tuple(best),
         min_gap=mg,
-        record_pairs=pairs,
+        record_pairs=tuple(r for r in recs if r[0] == mg),
     )
 
 
@@ -109,17 +244,13 @@ def record_gaps(
     set_spec: SetSpec, x: int, n_records: int = 10
 ) -> list[tuple[int, int, int]]:
     """The smallest gaps (gap, p, q) between consecutive members up to x,
-    ascending by gap then by p.  Empty when the set has fewer than 2 members."""
+    ascending by gap then by p.  Empty when the set has fewer than 2 members.
+    One pass over the members in blocks of ``BLOCK`` values."""
     if x < 100:
         raise ValueError("x must be >= 100")
     if n_records < 0:
         raise ValueError("n_records must be >= 0")
-    members = np.asarray(set_spec.members(2, x + 1))
-    diffs = np.diff(members)
-    k = min(n_records, diffs.size)
-    if k == 0:
-        return []
-    cut = np.partition(diffs, k - 1)[k - 1]  # the k-th smallest gap
-    near = np.flatnonzero(diffs <= cut)  # every record candidate, ascending in p
-    order = near[np.argsort(diffs[near], kind="stable")[:k]]
-    return [(int(diffs[i]), int(members[i]), int(members[i + 1])) for i in order]
+    gaps = _SmallestGaps(n_records)
+    for _, _, members in _member_blocks(set_spec, 2, x + 1):
+        gaps.add(members)
+    return gaps.records()

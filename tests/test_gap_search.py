@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckegaps.equidist_stats import all_primes_set, peps_set
-from heckegaps.gap_search import record_gaps, scan_tuple
+from heckegaps import gap_search
+from heckegaps.diagonal_curve import curve_new, eps_interval
+from heckegaps.equidist_stats import all_primes_set, curve_set, peps_set
+from heckegaps.gap_search import MAX_PAIRS, MAX_WINDOWS, ScanReport, record_gaps, scan_tuple
 from heckegaps.prime_engine import primes_in
+from heckegaps.tuples import narrow_tuple
 
 
 def test_record_gaps_frozen_small():
@@ -119,3 +124,97 @@ def test_scan_twin_matches_prime_table():
     twins = np.intersect1d(ps, ps - 2)  # n with n and n+2 prime
     twins = twins[twins <= 2 * x]
     assert rep.histogram.get(2, 0) == twins.size
+
+
+C4 = curve_new(1, 1, 1, 4, 2)
+ORACLE_SETS = {
+    "primes": all_primes_set(),
+    "peps0.5": peps_set(0.5),
+    "curve1,1,1,4,2": curve_set(C4, eps_interval(C4, 1.0)),
+}
+
+
+def brute_members(spec, lo, hi):
+    return [v for v in range(max(lo, 2), hi) if spec.contains(v)]
+
+
+def brute_smallest_gaps(members, n):
+    return sorted((q - p, p, q) for p, q in zip(members, members[1:]))[:n]
+
+
+def brute_scan(spec, H, x):
+    """The ScanReport of a pure-Python loop over ``contains``."""
+    offs = tuple(H)
+    member = set(brute_members(spec, x + 1 + offs[0], 2 * x + offs[-1] + 1))
+    hit_offs = {n: tuple(h for h in offs if n + h in member) for n in range(x + 1, 2 * x + 1)}
+    mx = max(len(hs) for hs in hit_offs.values())
+    counts = [len(hs) for hs in hit_offs.values()]
+    gaps = brute_smallest_gaps(sorted(member), len(member))
+    mg = gaps[0][0] if gaps else None
+    return ScanReport(
+        set_label=spec.label,
+        offsets=offs,
+        x=x,
+        histogram={j: counts.count(j) for j in range(len(offs) + 1)},
+        max_hits=mx,
+        best_windows=tuple((n, hs) for n, hs in hit_offs.items() if len(hs) == mx)[:MAX_WINDOWS],
+        min_gap=mg,
+        record_pairs=tuple(g for g in gaps if g[0] == mg)[:MAX_PAIRS],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(ORACLE_SETS)),
+    st.sampled_from([(0, 2), (-2, 0), (-6, -4, 0), (0, 4, 6, 10), (-10, 0, 2), (0, 1000)]),
+    st.integers(min_value=2, max_value=150),
+    st.integers(min_value=3, max_value=60),
+)
+def test_scan_tuple_matches_brute_across_blocks(name, H, x, block):
+    spec = ORACLE_SETS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gap_search, "BLOCK", block)
+        mp.setattr(gap_search, "CHUNK", 7)
+        assert scan_tuple(spec, H, x) == brute_scan(spec, H, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(ORACLE_SETS)),
+    st.integers(min_value=100, max_value=500),
+    st.sampled_from([0, 1, 5, 50, 10**6]),
+    st.integers(min_value=3, max_value=60),
+)
+def test_record_gaps_match_brute_across_blocks(name, x, n_records, block):
+    spec = ORACLE_SETS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gap_search, "BLOCK", block)
+        assert record_gaps(spec, x, n_records) == brute_smallest_gaps(
+            brute_members(spec, 2, x + 1), n_records)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+def test_scan_wide_tuple_matches_brute(monkeypatch, name):
+    # 300 offsets need 16-bit counters; dozens of hit levels take the chunked
+    # histogram
+    monkeypatch.setattr(gap_search, "BLOCK", 50)
+    monkeypatch.setattr(gap_search, "CHUNK", 7)
+    spec = ORACLE_SETS[name]
+    H = narrow_tuple(300)
+    rep = scan_tuple(spec, H, 40)
+    assert rep == brute_scan(spec, H.offsets, 40)
+    if name == "primes":
+        assert rep.max_hits > gap_search.MAX_LEVEL_PASSES
+
+
+def test_scan_tuple_memory_does_not_grow_with_the_diameter():
+    # x bytes of counters plus one block: neither a bitmap nor the members of
+    # the whole span (x + h_min, 2x + h_max] are ever held
+    for diameter in (10**6, 10**7):
+        tracemalloc.start()
+        try:
+            scan_tuple(all_primes_set(), (0, diameter), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (diameter, peak)
