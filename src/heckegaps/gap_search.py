@@ -26,16 +26,15 @@ MAX_WINDOWS = 20
 MAX_PAIRS = 50
 
 # Values per block of the member pass: a scan holds its x bytes of hit
-# counters plus one block (its members, and a bitmap of at most this many
+# counters plus at most two blocks (the block being read while the last one is
+# still in use; each block its members and a bitmap of at most this many
 # bytes).  Tuple scans at x near 10^6 and record gaps up to 2 * 10^6 stay one
 # block.  Correctness must not (and does not) depend on this value; tests
 # exercise blocks of a few dozen values.
 BLOCK = 1 << 21
 
-# The hit histogram counts each level in one pass over the counters up to
-# this many levels; beyond, it bincounts chunks of CHUNK counters, since a
-# bincount widens what it reads to intp.
-MAX_LEVEL_PASSES = 16
+# The best windows are looked for in chunks of this many counters, so that no
+# index array of every window at the maximum is built.
 CHUNK = 1 << 16
 
 
@@ -62,24 +61,24 @@ def _member_blocks(set_spec: SetSpec, lo: int, hi: int):
 
     The sets hold primes only, so the blocks start at max(lo, 2).  A span of
     one block is one ``members(lo, hi)`` call.  Of a longer span the top block
-    is enumerated first, before this returns: a span the set refuses (beyond
-    its range or a counting limit) then fails before any other work, with the
-    refusal of the whole span.
+    is asked first, before this returns, and given back: a span the set
+    refuses (beyond its range or a counting limit) then fails before any other
+    work, raised by ``members(lo, hi)`` of the whole span so that the message
+    is the refusal of the whole span.
     """
     start = max(lo, 2)
     if hi - start <= BLOCK:
         return iter([(start, hi, np.asarray(set_spec.members(lo, hi)))])
-    top_lo = start + (hi - start - 1) // BLOCK * BLOCK
     try:
-        top = np.asarray(set_spec.members(top_lo, hi))
+        set_spec.members(start + (hi - start - 1) // BLOCK * BLOCK, hi)
     except ValueError:
         set_spec.members(lo, hi)
         raise
 
     def blocks():
-        for b_lo in range(start, top_lo, BLOCK):
-            yield b_lo, b_lo + BLOCK, np.asarray(set_spec.members(b_lo, b_lo + BLOCK))
-        yield top_lo, hi, top
+        for b_lo in range(start, hi, BLOCK):
+            b_hi = min(b_lo + BLOCK, hi)
+            yield b_lo, b_hi, np.asarray(set_spec.members(b_lo, b_hi))
 
     return blocks()
 
@@ -121,16 +120,13 @@ class _SmallestGaps:
 
 
 def _histogram(hits: np.ndarray, mx: int, k: int) -> dict[int, int]:
-    """{j: windows with j hits} for j = 0..k, never widening all of ``hits``."""
-    counts = np.zeros(k + 1, dtype=np.int64)
-    if mx <= MAX_LEVEL_PASSES:
-        for j in range(1, mx + 1):
-            counts[j] = np.count_nonzero(hits == j)
-        counts[0] = hits.size - counts.sum()
-    else:
-        for i in range(0, hits.size, CHUNK):
-            counts += np.bincount(hits[i : i + CHUNK], minlength=k + 1)
-    return {j: int(c) for j, c in enumerate(counts)}
+    """{j: windows with j hits} for j = 0..k, one pass over ``hits`` per level
+    up to the maximum ``mx``, never widening all of ``hits``."""
+    counts = [0] * (k + 1)
+    for j in range(1, mx + 1):
+        counts[j] = int(np.count_nonzero(hits == j))
+    counts[0] = hits.size - sum(counts)
+    return dict(enumerate(counts))
 
 
 def _first_at(hits: np.ndarray, value: int, limit: int) -> list[int]:
@@ -141,32 +137,6 @@ def _first_at(hits: np.ndarray, value: int, limit: int) -> list[int]:
         if len(found) >= limit:
             break
     return found[:limit]
-
-
-def _members_among(
-    set_spec: SetSpec, values: np.ndarray, last: tuple[int, int, np.ndarray]
-) -> set[int]:
-    """The members among the ascending ``values``: those in the pass's last
-    block from its members, the others from one ``members`` call per run of
-    values within BLOCK of the run's first."""
-    b_lo, _, members = last
-    found = _among(values, members)
-    rest = values[(values >= 2) & (values < b_lo)]
-    i = 0
-    while i < rest.size:
-        j = int(np.searchsorted(rest, rest[i] + BLOCK))
-        run = rest[i:j]
-        found |= _among(run, np.asarray(set_spec.members(int(run[0]), int(run[-1]) + 1)))
-        i = j
-    return found
-
-
-def _among(values: np.ndarray, members: np.ndarray) -> set[int]:
-    """The entries of ``values`` found in the ascending ``members``."""
-    at = np.searchsorted(members, values)
-    hit = at < members.size
-    hit[hit] = members[at[hit]] == values[hit]
-    return set(values[hit].tolist())
 
 
 def scan_tuple(
@@ -180,9 +150,11 @@ def scan_tuple(
     members in blocks of ``BLOCK`` values counts the hits of every window, in
     x counters of the narrowest unsigned dtype that holds k, and keeps the
     smallest gaps between consecutive members of that span.  Memory is those
-    x bytes (for k <= 255) plus one block, whatever the diameter.  The windows
-    achieving the maximum count are returned (the first ``MAX_WINDOWS``,
-    ascending) with each hit re-verified through ``set_spec.contains``;
+    x bytes (for k <= 255) plus at most two blocks, whatever the diameter; a
+    span the set refuses is asked once more whole, to raise its refusal.  The
+    windows achieving the maximum count are returned (the first
+    ``MAX_WINDOWS``, ascending), their hits found through
+    ``set_spec.contains`` and checked against the counted maximum;
     ``record_pairs`` are the first ``MAX_PAIRS`` pairs at the minimal gap,
     ascending in p.  Sensible output needs x comfortably larger than the
     diameter; tiny x are allowed for smoke tests.
@@ -197,8 +169,7 @@ def scan_tuple(
     blocks = _member_blocks(set_spec, x + 1 + offs[0], 2 * x + offs[-1] + 1)
     hits = np.zeros(x, dtype=np.min_scalar_type(k))  # hits[n - x - 1]
     gaps = _SmallestGaps(MAX_PAIRS)
-    for last in blocks:
-        b_lo, b_hi, members = last
+    for b_lo, b_hi, members in blocks:
         gaps.add(members)
         # the values [v0, v1) of this block that offset h tests
         spans = [(h, max(b_lo, x + 1 + h), min(b_hi, 2 * x + 1 + h)) for h in offs]
@@ -213,18 +184,13 @@ def scan_tuple(
             hits[v0 - h - x - 1 : v1 - h - x - 1] += bitmap[v0 - base : v1 - base]
     mx = int(hits.max())
     ns = [x + 1 + i for i in _first_at(hits, mx, MAX_WINDOWS)]
-    member = _members_among(set_spec, np.unique(np.add.outer(ns, offs)), last)
     best = []
     for n in ns:
-        hit_offs = tuple(h for h in offs if n + h in member)
+        # every hit re-verified through the membership predicate
+        hit_offs = tuple(h for h in offs if set_spec.contains(n + h))
         if len(hit_offs) != mx:
             raise RuntimeError(f"stale membership: window {n} counted {mx} hits, "
-                               f"its members {len(hit_offs)}")
-        for h in hit_offs:
-            if not set_spec.contains(n + h):
-                raise RuntimeError(
-                    f"stale membership: {n + h} failed re-verification"
-                )
+                               f"contains finds {len(hit_offs)}")
         best.append((n, hit_offs))
     recs = gaps.records()
     mg = recs[0][0] if recs else None
