@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
     return 0
 
 

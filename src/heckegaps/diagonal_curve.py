@@ -51,6 +51,7 @@ from .gaussian_split import _cornacchia
 from .prime_engine import is_prime, primes_in
 
 NAIVE_LIMIT = 10**7  # O(p) memory and time; keep desk-scale
+PROBE = 1 << 16  # values per sieve when looking past NAIVE_LIMIT
 _CM_MODULI = (3, 4)  # M with a closed-form count
 _Jacobi = Callable[[int, int], list[int]]  # (s, t) -> J(chi^s, chi^t) on 1, zeta, ...
 
@@ -381,11 +382,17 @@ def curve_traces(
     """
     records = {} if store is None else store.records
     backend = None if store is None else store.backend
-    ps = curve_primes(curve, primes_in(lo, hi))
+    naive = _counter(curve, backend) is _count_affine_naive
+    # the first prime past NAIVE_LIMIT still to count, by sieves of PROBE
+    # values upward, so a window that must be refused is never sieved whole
+    probes = range(max(lo, NAIVE_LIMIT + 1), hi, PROBE) if naive else ()
+    far = next((p for s in probes for p in curve_primes(curve, primes_in(s, min(s + PROBE, hi)))
+                if p not in records), None)
+    ps = curve_primes(curve, primes_in(lo, hi)) if far is None else [far]
     todo = [p for p in ps if p not in records] if records else ps
     if todo and curve.g < 1:
         raise ValueError("trace needs genus >= 1")
-    if _counter(curve, backend) is _count_affine_naive:
+    if naive:
         for p in todo:
             _check_table_size(p)
     for p in ps:

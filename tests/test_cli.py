@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckegaps import diagonal_curve
+from heckegaps import cli, diagonal_curve
 from heckegaps.cli import main
 from heckegaps.prime_engine import primes_in
 
@@ -333,6 +333,40 @@ def test_table_counts_refused_before_the_first(capsys, monkeypatch, argv, M):
     assert err == f"error: p={first} beyond the O(p) counting limit 10000\n"
 
 
+def test_wide_curve_window_refused_by_a_probe(capsys, monkeypatch):
+    # the first curve prime past NAIVE_LIMIT is found by short sieves upward,
+    # so the refusal never sieves the window it refuses
+    spans = []
+
+    def recording(lo, hi):
+        spans.append(hi - lo)
+        return primes_in(lo, hi)
+
+    monkeypatch.setattr(diagonal_curve, "primes_in", recording)
+    code, out, err = run_cli(capsys, "gap-scan", "--set", "curve", "--curve", "1,-1,-1,5,2",
+                             "--x", "1000", "--tuple", "0,100000000")
+    assert (code, out) == (1, "")
+    assert err == "error: p=10000121 beyond the O(p) counting limit 10000000\n"
+    assert spans and max(spans) <= diagonal_curve.PROBE
+
+
+def test_probe_skips_stored_primes(monkeypatch):
+    # narrow probes across several blocks: stored primes past the limit are
+    # passed over, the first one still to count is refused
+    curve = diagonal_curve.curve_new(1, -1, -1, 5, 2)
+    far = diagonal_curve.curve_primes(curve, primes_in(10**4, 2 * 10**4))
+    traced = {p: diagonal_curve.trace(curve, p) for p in far}
+    monkeypatch.setattr(diagonal_curve, "NAIVE_LIMIT", 10**4)
+    monkeypatch.setattr(diagonal_curve, "PROBE", 40)
+    store = diagonal_curve.TraceStore(curve)
+    store.records.update((p, traced[p]) for p in far[:3])
+    with pytest.raises(ValueError, match=f"p={far[3]} beyond"):
+        next(diagonal_curve.curve_traces(curve, 2, 2 * 10**4, store))
+    store.records.update(traced)
+    got = [r.p for r in diagonal_curve.curve_traces(curve, 2, 2 * 10**4, store)]
+    assert got == diagonal_curve.curve_primes(curve, primes_in(2, 2 * 10**4))
+
+
 def test_closed_forms_and_cached_traces_pass_the_limit(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "c.csv")
     argv = ("curve-trace", "--curve", "1,-1,-1,5,2", "--lo", "2", "--hi", "2e4",
@@ -608,6 +642,21 @@ def test_computation_error_exit_1(capsys):
                            "--Q", "1000")
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 90.9 TiB for an array"),
+     "error: Unable to allocate 90.9 TiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_memory_error_exit_1(capsys, monkeypatch, exc, line):
+    def exhaust(args):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "primes", exhaust)
+    code, out, err = run_cli(capsys, "primes", "--hi", "10")
+    assert (code, out, err) == (1, "", line)
+    assert "Traceback" not in err
 
 
 _ONE_PROCESS = [

@@ -197,6 +197,54 @@ def test_sym_integral_series_matches_partition_sum(k):
             assert maynard_sieve._sym_integral(k, A, B) == math.factorial(A) * ref
 
 
+def _pairwise_integer_forms(k, degree):
+    """(NI, NJ) one Gram entry at a time: the weights of each pair convolved,
+    then one memoised integral per t = j1 + j2."""
+    els = sieve_basis(k, degree).elements
+    n = len(els)
+    f = math.factorial
+    W = [[math.comb(b, j) * f(a) * f(2 * j) * f(a + 2 * b + 1) // f(a + 2 * j + 1)
+          for j in range(b + 1)] for a, b in els]
+    NI = [[0] * n for _ in range(n)]
+    NJ = [[0] * n for _ in range(n)]
+    for i, (a1, b1) in enumerate(els):
+        for j in range(i, n):
+            a2, b2 = els[j]
+            NI[i][j] = NI[j][i] = maynard_sieve._sym_integral(k, a1 + a2, b1 + b2)
+            conv = [0] * (b1 + b2 + 1)
+            for j1, w1 in enumerate(W[i]):
+                for j2, w2 in enumerate(W[j]):
+                    conv[j1 + j2] += w1 * w2
+            NJ[i][j] = NJ[j][i] = sum(
+                w * maynard_sieve._sym_integral(k - 1, a1 + a2 + 2 * t + 2, b1 + b2 - t)
+                for t, w in enumerate(conv))
+    return NI, NJ
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 22, 105, 157, 300])
+def test_integer_forms_match_pairwise_oracle(k):
+    maynard_sieve._sym_integral.cache_clear()
+    try:
+        for degree in range(15):
+            bas, deg, NI, NJ = maynard_sieve._integer_forms(k, degree)
+            assert deg == [a + 2 * b for a, b in bas.elements]
+            assert (NI, NJ) == _pairwise_integer_forms(k, degree)
+            assert all(type(x) is int for row in NI + NJ for x in row)
+    finally:
+        maynard_sieve._sym_integral.cache_clear()
+
+
+@pytest.mark.parametrize("k,degree", [(6, 10), (105, 11), (157, 14)])
+def test_optimize_Mk_same_with_memo_cold_and_warm(k, degree):
+    maynard_sieve._sym_integral.cache_clear()
+    cold = optimize_Mk(k, degree)
+    _pairwise_integer_forms(k, degree)  # fills the memo with every integral
+    warm = optimize_Mk(k, degree)
+    maynard_sieve._sym_integral.cache_clear()
+    assert repr(cold.Mk_lower) == repr(warm.Mk_lower)
+    assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
+
+
 def test_sym_integral_remainder_raises(monkeypatch):
     # a series coefficient that is not an integer means a wrong formula: the
     # division by m must refuse it, not floor it away
