@@ -29,6 +29,9 @@ sum of Ramanujan sums c_M(k) (Hardy & Wright, ch. XVI), divided by phi(M).
 ``count_affine_naive``, the oracle that the formula must match, needs no
 Jacobi sums: it enumerates the cosets of d-th powers in F_p* that a x^alpha
 and b y^beta cover, from a primitive root, and counts the pairs that meet.
+A coset of even order is closed under negation, so only half of it is
+generated, and it is generated in blocks: a count holds a p-byte mask and
+one block.
 
 Everything is integer arithmetic.  ``_counter`` is the one choice of
 counter: the closed form where one exists and the naive count elsewhere,
@@ -52,6 +55,9 @@ from .prime_engine import is_prime, primes_in
 
 NAIVE_LIMIT = 10**7  # O(p) memory and time; keep desk-scale
 PROBE = 1 << 16  # values per sieve when looking past NAIVE_LIMIT
+# int64 values per coset block of the naive count: 64 KiB, under glibc malloc's
+# 128 KiB mmap threshold, so each block reuses heap pages, not fresh ones
+_BLOCK = 1 << 13
 _CM_MODULI = (3, 4)  # M with a closed-form count
 _Jacobi = Callable[[int, int], list[int]]  # (s, t) -> J(chi^s, chi^t) on 1, zeta, ...
 
@@ -156,6 +162,10 @@ def count_affine_naive(curve: CurveSpec, p: int) -> int:
     gcd(alpha, p - 1) (Ireland & Rosen ch. 8); likewise y -> b y^beta with e.
     So N = d [c in a H_d] + e [c in b H_e] + d e #{w in b H_e : c - w in a H_d}:
     one mask of a H_d read at c - b H_e, (p - 1)/d + (p - 1)/e values.
+    a H_d = {a g^(dj) : j < n}, n = (p - 1)/d, g a primitive root.  For even
+    n, g^(dn/2) = -1 and a H_d = -a H_d: j < n/2 suffices, each value marked
+    with its negative; b H_e is read likewise at c - w and c + w.  Cosets come
+    in blocks of about 2^13 int64 values, so no (p - 1)/d-long array exists.
     """
     p = index(p)
     _check_p(curve, p, need_mod_M=False)
@@ -170,25 +180,39 @@ def _count_affine_naive(curve: CurveSpec, p: int) -> int:
     d, e = gcd(curve.alpha, p - 1), gcd(curve.beta, p - 1)
     c = curve.c % p
     in_a = np.zeros(p, dtype=bool)
-    in_a[_coset(p, curve.a % p, pow(g, d, p), (p - 1) // d)] = True
-    idx = _coset(p, -curve.b % p, pow(g, e, p), (p - 1) // e)
-    idx -= p - c  # c - w for w in b H_e, in (-p, p): negative ones index from the end
+    n = (p - 1) // d
+    for v in _coset_blocks(p, curve.a % p, pow(g, d, p), n):
+        in_a[v] = True
+        if n % 2 == 0:
+            np.negative(v, out=v)  # -v indexes p - v
+            in_a[v] = True
+    n, hits = (p - 1) // e, 0
+    for u in _coset_blocks(p, -curve.b % p, pow(g, e, p), n):  # u = -w, w in b H_e
+        u -= p - c  # c - w, in (-p, p): negative ones index from the end
+        hits += np.count_nonzero(in_a[u])
+        if n % 2 == 0:
+            np.subtract(2 * c - p, u, out=u)  # c + w, in (-p, p)
+            hits += np.count_nonzero(in_a[u])
     c_in_b = pow(c * pow(curve.b, -1, p), (p - 1) // e, p) == 1
-    return d * int(in_a[c]) + e * c_in_b + d * e * int(np.count_nonzero(in_a[idx]))
+    return d * int(in_a[c]) + e * c_in_b + d * e * int(hits)
 
 
-def _coset(p: int, k: int, h: int, n: int) -> np.ndarray:
-    """k h^j mod p for j < n, h of order n, by blocked powers: the rows
-    k h^(Bi) times the column h^j, j < B, B about sqrt(n), in one int64 outer
-    product; p <= NAIVE_LIMIT keeps each product below p^2 < 2^48."""
+def _coset_blocks(p: int, k: int, h: int, n: int) -> Iterator[np.ndarray]:
+    """k h^j mod p, h of order n, for j < n in int64 blocks of about _BLOCK
+    values; for even n only j < n/2, one of each pair v, p - v, as h^(n/2) =
+    -1.  A block is a few rows k h^(Bi) times the column h^j, j < B, B about
+    sqrt of the count; p <= NAIVE_LIMIT keeps each product below 2^48."""
+    n = n if n % 2 else n // 2
     B = isqrt(n - 1) + 1
     hB, v = pow(h, B, p), 1
     col = [1] + [v := v * h % p for _ in range(B - 1)]
     rows = [k] + [k := k * hB % p for _ in range(-(-n // B) - 1)]
     powers = np.array(col + rows, dtype=np.int64)
-    out = powers[B:, None] * powers[:B]
-    out %= p
-    return out.ravel()[:n]
+    step = max(1, _BLOCK // B)
+    for i in range(B, len(powers), step):
+        out = powers[i:i + step, None] * powers[:B]
+        out %= p
+        yield out.ravel()[:n - (i - B) * B]
 
 
 def _primitive_root(p: int) -> int:

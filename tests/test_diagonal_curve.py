@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heckegaps import diagonal_curve
 from heckegaps.diagonal_curve import (
     NAIVE_LIMIT,
     CacheFormatError,
@@ -253,6 +255,42 @@ def test_naive_matches_full_table_at_the_limit():
     assert is_prime(p) and p <= NAIVE_LIMIT
     curve = curve_new(3, -5, 7, 5, 3)
     assert count_affine_naive(curve, p) == _full_table_reference(curve, p)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_naive_matches_full_table_in_small_blocks(monkeypatch, block):
+    # blocks of one row, of a row or two with a partly used last one, and
+    # whole cosets shorter than a block; each coset order n = (p - 1)/d
+    # taken both even (sign-halved) and odd wherever its exponent allows
+    monkeypatch.setattr(diagonal_curve, "_BLOCK", block)
+    coeffs = ((1, 1, 1), (3, -5, 7), (-2, 6, -1), (7, -3, 2**70 + 1))
+    seen = set()
+    for i, (alpha, beta) in enumerate(ALL_SHAPES):
+        for j, p in enumerate(int(p) for p in primes_in(3, 260)):
+            curve = curve_new(*coeffs[(i + j) % len(coeffs)], alpha, beta)
+            if (curve.a * curve.b * curve.c) % p == 0:
+                continue
+            seen.update((side, (p - 1) // math.gcd(ex, p - 1) % 2)
+                        for side, ex in (("a", alpha), ("b", beta)))
+            want = _full_table_reference(curve, p)
+            assert count_affine_naive(curve, p) == want, (curve, p)
+    assert seen == {(side, parity) for side in "ab" for parity in (0, 1)}
+
+
+def test_naive_count_memory_is_the_mask_and_one_block():
+    # p bytes of mask plus one block of a coset: no int64 array of a whole
+    # coset, (p - 1)/d values, is ever held
+    p4 = next(q for q in range(NAIVE_LIMIT - 3, 0, -4) if is_prime(q))  # 1 mod 4
+    for curve, p, want in ((curve_new(3, -5, 7, 5, 3), 9999991, 9992610),
+                           (QUARTIC, p4, 10006278)):
+        tracemalloc.start()
+        try:
+            got = count_affine_naive(curve, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 12 << 20, (curve, p, peak)
 
 
 _COEFF = st.one_of(
