@@ -62,7 +62,6 @@ from .measures import (
     cdf,
     cm_mixture,
     density_P_eps,
-    empirical,
     mass,
     uniform01,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "curve_set",
     "density_P_eps",
     "dhl_m",
-    "empirical",
     "eps_interval",
     "erdos_turan_bound",
     "in_P_CI",

@@ -413,12 +413,10 @@ def curve_traces(
     far = next((p for s in probes for p in curve_primes(curve, primes_in(s, min(s + PROBE, hi)))
                 if p not in records), None)
     ps = curve_primes(curve, primes_in(lo, hi)) if far is None else [far]
-    todo = [p for p in ps if p not in records] if records else ps
-    if todo and curve.g < 1:
+    if curve.g < 1 and any(p not in records for p in ps):
         raise ValueError("trace needs genus >= 1")
-    if naive:
-        for p in todo:
-            _check_table_size(p)
+    if far is not None:
+        _check_table_size(far)
     for p in ps:
         r = records.get(p)
         if r is None:

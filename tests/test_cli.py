@@ -403,6 +403,17 @@ def test_equidist_et(capsys):
     assert got["lhs"] <= got["rhs"]
 
 
+def test_uniform_measure_prints_kind_empirical(capsys):
+    # the printed token for --measure uniform is "empirical"; renaming it
+    # changes output bytes and must be done on purpose
+    code, out, _ = run_cli(capsys, "equidist", "--set", "peps", "--eps", "1",
+                           "--x", "1e4", "--stat", "et", "--measure", "uniform",
+                           "--format", "json")
+    assert code == 0
+    assert out == ('{"T": 50, "interval": [0.0, 0.25], "lhs": 10.25, '
+                   '"measure_kind": "empirical", "n": 609, "rhs": 196.73172743574455}\n')
+
+
 def test_bv_check_csv(capsys):
     code, out, _ = run_cli(capsys, "bv-check", "--set", "primes", "--x", "2000",
                            "--Q", "6", "--format", "csv")

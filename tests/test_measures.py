@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +9,9 @@ from heckegaps.measures import (
     arcsine,
     atom,
     cdf,
+    cdf_vec,
     cm_mixture,
     density_P_eps,
-    empirical,
     mass,
     uniform01,
 )
@@ -55,32 +56,25 @@ def test_density_P_eps_frozen():
         density_P_eps(1.01)
 
 
-def test_empirical_validation():
-    with pytest.raises(ValueError):
-        empirical([0.0, -0.5, 0.5], [0.5, 0.5])       # edges not sorted
-    with pytest.raises(ValueError):
-        empirical([-2.0, 0.0], [1.0])                 # support leaves [-1, 1]
-    with pytest.raises(ValueError):
-        empirical([-0.5, 0.5], [0.7])                 # masses do not sum to 1
-    with pytest.raises(ValueError):
-        empirical([-0.5, 0.0, 0.5], [1.2, -0.2])      # negative mass
-
-
-def test_empirical_with_atom_bin():
-    # zero-width middle bin is a point mass
-    m = empirical([-1.0, 0.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-    assert atom(m, 0.0) == pytest.approx(0.5)
-    assert mass(m, (0.0, 0.0)) == pytest.approx(0.5)
-    assert cdf(m, -0.5) == pytest.approx(0.125)
-    assert mass(m, (-1.0, 1.0)) == pytest.approx(1.0)
-
-
 def test_uniform01_shape():
     m = uniform01()
     assert cdf(m, 0.0) == pytest.approx(0.0)
     assert cdf(m, 0.25) == pytest.approx(0.25)
     assert cdf(m, 1.0) == pytest.approx(1.0)
     assert mass(m, (0.4, 0.6)) == pytest.approx(0.2)
+
+
+def test_uniform01_cdf_matches_one_bin_formula():
+    # equidist's printed bytes rest on the closed form agreeing bit for bit,
+    # up to the sign of a zero, with one bin [0, 1] of mass 1 under the
+    # binned formula 0 + w clip((t - lo) / (hi - lo), 0, 1)
+    ts = np.array([-1.0, -0.5, -1e-300, -0.0, 0.0, 5e-324, 0.25, 1 / 3,
+                   0.5, 0.7, 1 - 2.0**-53, 1.0])
+    ts = np.concatenate([ts, np.random.default_rng(7).uniform(-1.0, 1.0, 1000)])
+    lo, hi, w = 0.0, 1.0, 1.0
+    one_bin = np.zeros_like(ts) + w * np.clip((ts - lo) / (hi - lo), 0.0, 1.0)
+    got = cdf_vec(uniform01(), ts) + 0.0
+    assert got.tobytes() == (one_bin + 0.0).tobytes()
 
 
 def test_mass_domain_checked():
@@ -91,24 +85,10 @@ def test_mass_domain_checked():
         mass(m, (0.5, 0.2))
 
 
-@st.composite
-def empirical_measures(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    cuts = draw(
-        st.lists(
-            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-            min_size=n + 1, max_size=n + 1,
-        )
-    )
-    edges = sorted(cuts)
-    weights = draw(
-        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n)
-    )
-    total = sum(weights)
-    return empirical(edges, [w / total for w in weights])
+laws = st.sampled_from([arcsine(), cm_mixture(), uniform01()])
 
 
-@given(empirical_measures(), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+@given(laws, st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_cdf_monotone_and_bounded(m, t):
     assert 0.0 <= cdf(m, t) <= 1.0 + 1e-12
     assert cdf(m, -1.0) <= cdf(m, t) + 1e-12
@@ -116,7 +96,7 @@ def test_cdf_monotone_and_bounded(m, t):
 
 
 @given(
-    empirical_measures(),
+    laws,
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
